@@ -108,6 +108,28 @@ void BM_WindowEstimatorP95(benchmark::State& state) {
 }
 BENCHMARK(BM_WindowEstimatorP95);
 
+// The prober's real mix: one sample per 10 ms probe into a 1 s window (so
+// every add also evicts once the window is full), with ~10 percentile reads
+// between adds, as the clients' DFP/DM choice and the replicas' replication
+// latency estimates issue them. Items are adds plus reads.
+void BM_WindowEstimatorProberMix(benchmark::State& state) {
+  constexpr int kReadsPerAdd = 10;
+  WindowEstimator w(seconds(1));
+  TimePoint t = TimePoint::epoch();
+  std::int64_t i = 0;
+  for (auto _ : state) {
+    t += milliseconds(10);
+    w.add(t, microseconds(30'000 + (i * 7919) % 5'000));
+    ++i;
+    for (int r = 0; r < kReadsPerAdd; ++r) {
+      t += microseconds(100);
+      benchmark::DoNotOptimize(w.percentile(t, 95));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * (1 + kReadsPerAdd));
+}
+BENCHMARK(BM_WindowEstimatorProberMix);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -11,7 +12,9 @@
 namespace domino {
 
 /// Samples ranks in [0, n) with P(rank k) proportional to 1 / (k+1)^alpha.
-/// Uses a precomputed inverse-CDF table; O(log n) per sample.
+/// Uses a precomputed inverse-CDF table; O(log n) per sample. The table is
+/// immutable and shared by every live generator with the same (n, alpha),
+/// so many clients drawing from one key space pay for it once.
 class ZipfGenerator {
  public:
   ZipfGenerator(std::uint64_t n, double alpha);
@@ -24,7 +27,7 @@ class ZipfGenerator {
  private:
   std::uint64_t n_;
   double alpha_;
-  std::vector<double> cdf_;  // cdf_[k] = P(rank <= k)
+  std::shared_ptr<const std::vector<double>> cdf_;  // (*cdf_)[k] = P(rank <= k)
 };
 
 }  // namespace domino

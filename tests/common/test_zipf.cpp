@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 namespace domino {
@@ -10,6 +11,40 @@ namespace {
 TEST(Zipf, RejectsBadParameters) {
   EXPECT_THROW(ZipfGenerator(0, 0.75), std::invalid_argument);
   EXPECT_THROW(ZipfGenerator(10, -1.0), std::invalid_argument);
+}
+
+TEST(Zipf, RejectsNonFiniteAlpha) {
+  // NaN compares false against 0, so it used to build an all-NaN table
+  // whose sample() always returned rank 0.
+  EXPECT_THROW(ZipfGenerator(10, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(ZipfGenerator(10, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(ZipfGenerator(10, -std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+}
+
+TEST(Zipf, GeneratorsSharingATableDrawTheSameStream) {
+  // Generators with equal (n, alpha) share one table; a different alpha
+  // gets its own, and a table freed with its last holder is rebuilt.
+  auto draws = [](const ZipfGenerator& z) {
+    Rng rng(7);
+    std::vector<std::uint64_t> out;
+    for (int i = 0; i < 1000; ++i) out.push_back(z.sample(rng));
+    return out;
+  };
+  const ZipfGenerator a(5000, 0.75);
+  const ZipfGenerator b(5000, 0.75);
+  const ZipfGenerator c(5000, 0.95);
+  const auto first = draws(a);
+  EXPECT_EQ(draws(b), first);
+  EXPECT_NE(draws(c), first);
+  std::vector<std::uint64_t> rebuilt;
+  {
+    const ZipfGenerator lone(321, 1.1);
+    rebuilt = draws(lone);
+  }
+  EXPECT_EQ(draws(ZipfGenerator(321, 1.1)), rebuilt);
 }
 
 TEST(Zipf, SamplesWithinRange) {
