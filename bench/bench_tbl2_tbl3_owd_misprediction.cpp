@@ -14,6 +14,7 @@
 #include "harness/trace.h"
 #include "net/topology.h"
 #include "wan/delay_trace.h"
+#include "wan/generator.h"
 
 int main() {
   using namespace domino;
@@ -44,15 +45,21 @@ int main() {
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       if (i == j) continue;
-      harness::LinkTraceConfig cfg;
-      cfg.rtt = topo.rtt(i, j);
-      cfg.forward_share = forward_share(i, j);
-      cfg.remote_clock_offset = clock_offset[j] - clock_offset[i];
-      cfg.duration = seconds(60);
-      cfg.spike_prob = 0.0005;
-      cfg.spike_mean = milliseconds(4);
-      cfg.seed = 1000 + i * 17 + j;
-      const auto trace = harness::generate_trace(cfg);
+      // One synthetic OWD series per direction, splitting the RTT by the
+      // pair's forward share, paired into what i's prober observes.
+      const Duration rtt = topo.rtt(i, j);
+      wan::GeneratorConfig fwd;
+      fwd.base = scale(rtt, forward_share(i, j));
+      fwd.duration = seconds(60);
+      fwd.spike_prob = 0.0005;
+      fwd.spike_mean = milliseconds(4);
+      fwd.seed = 2 * (1000 + i * 17 + j);
+      wan::GeneratorConfig rev = fwd;
+      rev.base = rtt - fwd.base;
+      rev.seed = fwd.seed + 1;
+      const auto trace = harness::probe_samples_from_wan(
+          wan::TraceGenerator(fwd).generate(), wan::TraceGenerator(rev).generate(),
+          clock_offset[j] - clock_offset[i]);
       half[i][j] = harness::evaluate_predictions(trace, harness::OwdEstimator::kHalfRtt,
                                                  seconds(1), 95.0)
                        .p99_misprediction_ms;

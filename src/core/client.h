@@ -71,7 +71,7 @@ class Client : public rpc::ClientBase {
 
   /// Start probing (or proxy polling); call after attach() and before
   /// submitting load.
-  void start();
+  void start() override;
 
   [[nodiscard]] const measure::Prober& prober() const { return prober_; }
 

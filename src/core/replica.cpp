@@ -5,14 +5,9 @@
 #include <unordered_map>
 #include <utility>
 
-#include "recovery/messages.h"
-
 namespace domino::core {
 
 namespace {
-/// Catch-up request retransmit interval for a recovering replica.
-constexpr Duration kCatchupRetryInterval = milliseconds(100);
-
 /// Durable record for an acceptance at (ts, lane). `dm_leader` marks the
 /// record as written by the lane's own leader (it doubles as the timestamp
 /// reservation: replay raises dm_last_assigned_ past it, so no separate
@@ -46,8 +41,7 @@ wire::Payload committed_record(std::int64_t ts, std::uint32_t lane, bool is_noop
 Replica::Replica(NodeId id, std::size_t dc, net::Network& network,
                  std::vector<NodeId> replicas, NodeId coordinator, ReplicaConfig config,
                  sim::LocalClock clock)
-    : rpc::Node(id, dc, network, clock),
-      replicas_(std::move(replicas)),
+    : rpc::ReplicaBase(id, dc, network, std::move(replicas), clock),
       coordinator_(coordinator),
       config_(config),
       log_(replicas_.size() + 1),
@@ -61,8 +55,7 @@ Replica::Replica(NodeId id, std::size_t dc, net::Network& network,
 
 Replica::Replica(NodeId id, rpc::Context& context, std::vector<NodeId> replicas,
                  NodeId coordinator, ReplicaConfig config, sim::LocalClock clock)
-    : rpc::Node(id, /*dc=*/0, context, clock),
-      replicas_(std::move(replicas)),
+    : rpc::ReplicaBase(id, /*dc=*/0, context, std::move(replicas), clock),
       coordinator_(coordinator),
       config_(config),
       log_(replicas_.size() + 1),
@@ -175,12 +168,6 @@ void Replica::handle_probe(const net::Packet& packet) {
        measure::Prober::make_reply(probe, local_now(), replication_latency_estimate()));
 }
 
-void Replica::enable_durability(recovery::DurableStore& store) {
-  persistor_.bind(store, id(), [this](Duration delay, std::function<void()> fn) {
-    after(delay, std::move(fn));
-  });
-}
-
 // ------------------------------------------------------------ DFP acceptor
 
 void Replica::handle_dfp_propose(const net::Packet& packet) {
@@ -193,7 +180,7 @@ void Replica::handle_dfp_propose(const net::Packet& packet) {
   // Section 3's "equal to or smaller than the predicted timestamp"), the
   // position is not already resolved (committed frontier), and no different
   // command occupies it (client timestamp collision).
-  bool accept = !catching_up_ && local_now().nanos() <= msg.ts && !log_.is_resolved(pos);
+  bool accept = !catching_up() && local_now().nanos() <= msg.ts && !log_.is_resolved(pos);
   if (accept) {
     const auto* existing = log_.entry(pos);
     if (existing != nullptr && existing->command.id != msg.command.id) accept = false;
@@ -568,7 +555,7 @@ std::int64_t Replica::computed_commit_frontier() const {
 // --------------------------------------------------------------------- DM
 
 void Replica::handle_dm_propose(const net::Packet& packet) {
-  if (catching_up_) return;  // not rejoined yet; the client's retry will land
+  if (catching_up()) return;  // not rejoined yet; the client's retry will land
   const auto msg = wire::decode_message<DmPropose>(packet.payload);
   dm_lead(msg.command, /*reply_via_dfp=*/false);
 }
@@ -971,8 +958,7 @@ void Replica::apply_dfp_range_resolve(const DfpRangeResolve& resolve) {
 
 // ---------------------------------------------------------- crash recovery
 
-void Replica::restart() {
-  persistor_.begin_restart();
+void Replica::wipe_volatile() {
   for (auto& [ts, span] : dm_quorum_spans_) {
     (void)ts;
     close_wait_span(span);
@@ -984,7 +970,6 @@ void Replica::restart() {
   }
   dfp_recovery_spans_.clear();
   log_ = log::GlobalLog(replicas_.size() + 1);
-  store_ = sm::KvStore{};
   dfp_positions_.clear();
   std::fill(replica_watermarks_.begin(), replica_watermarks_.end(), TimePoint::epoch());
   commit_frontier_ = 0;
@@ -1004,16 +989,9 @@ void Replica::restart() {
   dfp_slow_commits_ = 0;
   dfp_noop_resolutions_ = 0;
   dm_commits_ = 0;
-  catching_up_ = true;
-  recovery_started_at_ = true_now();
-  if (obs_sink().tracing()) {
-    obs_sink().record(obs::TraceEvent{
-        .at = true_now(),
-        .kind = obs::EventKind::kRecoveryStart,
-        .node = id(),
-        .value = static_cast<std::int64_t>(persistor_.epoch())});
-  }
+}
 
+void Replica::rebuild_from_durable() {
   persistor_.replay([this](const recovery::DurableRecord& rec) {
     wire::ByteReader r(rec.body);
     const std::int64_t ts = r.svarint();
@@ -1114,38 +1092,12 @@ void Replica::restart() {
       start_dfp_range_recover(0);
     });
   }
-  send_catchup_requests();
 }
 
-void Replica::send_catchup_requests() {
-  if (!catching_up_) return;
-  if (replicas_.size() <= 1) {
-    finish_rejoin();
-    return;
-  }
-  const recovery::CatchupRequest req{persistor_.epoch(), store_.applied_count()};
-  for (NodeId r : replicas_) {
-    if (r != id()) send(r, req);
-  }
-  after(kCatchupRetryInterval, [this, epoch = persistor_.epoch()] {
-    if (catching_up_ && epoch == persistor_.epoch()) send_catchup_requests();
-  });
-}
-
-void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) {
-  // Always served, even while this replica is itself catching up: replying
-  // with the current state keeps simultaneous recoveries from deadlocking.
-  const auto req = wire::decode_message<recovery::CatchupRequest>(payload);
-  recovery::CatchupReply reply;
-  reply.epoch = req.epoch;
-  reply.applied = store_.applied_count();
+void Replica::fill_catchup_reply(recovery::CatchupReply& reply) {
   const log::LogPosition frontier = log_.global_frontier();
   reply.frontier = frontier.ts;
   reply.frontier_lane = frontier.lane;
-  reply.snapshot.reserve(store_.items().size());
-  for (const auto& [key, value] : store_.items()) {
-    reply.snapshot.push_back(recovery::KvEntry{key, value});
-  }
   // Per-lane committed-no-op watermarks: they cover the empty positions a
   // requester cannot otherwise resolve (e.g. a revoked lane whose leader is
   // still down and so sends no clock heartbeats).
@@ -1159,20 +1111,13 @@ void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) 
     reply.entries.push_back(
         recovery::CatchupEntry{e.pos.ts, e.pos.lane, std::move(e.command), aux.take()});
   }
-  send(from, reply);
 }
 
-void Replica::handle_catchup_reply(const wire::Payload& payload) {
-  const auto msg = wire::decode_message<recovery::CatchupReply>(payload);
-  if (msg.epoch != persistor_.epoch()) return;  // reply to an older incarnation
+void Replica::merge_catchup_reply(const recovery::CatchupReply& msg, std::size_t bytes) {
   const log::LogPosition peer_frontier{msg.frontier, msg.frontier_lane};
   if (log_.global_frontier() < peer_frontier) {
-    std::unordered_map<std::string, std::string> items;
-    items.reserve(msg.snapshot.size());
-    for (const auto& e : msg.snapshot) items.emplace(e.key, e.value);
-    store_.install_snapshot(std::move(items), msg.applied);
+    install_snapshot(msg, bytes);
     log_.fast_forward(peer_frontier);
-    persistor_.note_catchup_install(payload.size(), true_now() - recovery_started_at_);
   }
   const auto lanes =
       static_cast<std::uint32_t>(std::min<std::size_t>(msg.watermarks.size(),
@@ -1212,20 +1157,6 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
     }
   }
   execute_ready();
-  finish_rejoin();
-}
-
-void Replica::finish_rejoin() {
-  if (!catching_up_) return;
-  catching_up_ = false;
-  const Duration took = true_now() - recovery_started_at_;
-  persistor_.note_rejoin(took);
-  if (obs_sink().tracing()) {
-    obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                      .kind = obs::EventKind::kRecoveryDone,
-                                      .node = id(),
-                                      .value = took.nanos()});
-  }
 }
 
 // ------------------------------------------------------------------ shared
@@ -1285,7 +1216,7 @@ void Replica::execute_ready() {
                                         .request = command.id,
                                         .value = pos.ts});
     }
-    if (exec_hook_) exec_hook_(command.id, true_now());
+    notify_executed(command.id);
   }
 }
 

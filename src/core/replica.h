@@ -23,7 +23,6 @@
 //     (Section 5.7).
 #pragma once
 
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -36,9 +35,7 @@
 #include "measure/estimator.h"
 #include "measure/prober.h"
 #include "measure/quorum.h"
-#include "recovery/durable.h"
-#include "rpc/node.h"
-#include "statemachine/kvstore.h"
+#include "rpc/replica_base.h"
 
 namespace domino::core {
 
@@ -57,10 +54,8 @@ struct ReplicaConfig {
   bool all_replicas_learn = true;
 };
 
-class Replica : public rpc::Node {
+class Replica : public rpc::ReplicaBase {
  public:
-  using ExecuteHook = std::function<void(const RequestId&, TimePoint)>;
-
   Replica(NodeId id, std::size_t dc, net::Network& network, std::vector<NodeId> replicas,
           NodeId coordinator, ReplicaConfig config = {},
           sim::LocalClock clock = sim::LocalClock{});
@@ -71,29 +66,11 @@ class Replica : public rpc::Node {
           sim::LocalClock clock = sim::LocalClock{});
 
   /// Start probing and heartbeats; call after attach().
-  void start();
-
-  void set_execute_hook(ExecuteHook hook) { exec_hook_ = std::move(hook); }
-
-  /// Bind simulated durable storage: DFP acceptances, DM acceptances, and
-  /// commit decisions are persisted before the notices/acks/commits that
-  /// externalize them, and the replica survives an amnesiac restart().
-  void enable_durability(recovery::DurableStore& store);
-
-  /// Amnesiac restart: wipe volatile protocol state, replay the durable
-  /// image, re-replicate pending own-lane entries, and catch up from live
-  /// peers. Measurement soft state (prober) is deliberately kept: it is not
-  /// safety-relevant and wiping it would only blind failure detection. A
-  /// restarted coordinator additionally schedules one DFP range-recovery
-  /// round, because the tallies of unresolved proposals died with it.
-  void restart();
-
-  [[nodiscard]] bool catching_up() const { return catching_up_; }
+  void start() override;
 
   [[nodiscard]] bool is_coordinator() const { return coordinator_ == id(); }
   [[nodiscard]] std::size_t rank() const { return rank_; }
   [[nodiscard]] const log::GlobalLog& log() const { return log_; }
-  [[nodiscard]] const sm::KvStore& store() const { return store_; }
   [[nodiscard]] const measure::Prober& prober() const { return prober_; }
 
   /// The replication latency estimate L_r this replica piggybacks on probe
@@ -109,6 +86,17 @@ class Replica : public rpc::Node {
 
  protected:
   void on_packet(const net::Packet& packet) override;
+
+  // Crash recovery (rpc::ReplicaBase hooks). Restart re-replicates pending
+  // own-lane entries. Measurement soft state (prober) is deliberately kept:
+  // it is not safety-relevant and wiping it would only blind failure
+  // detection. A restarted coordinator additionally schedules one DFP
+  // range-recovery round, because the tallies of unresolved proposals died
+  // with it.
+  void wipe_volatile() override;
+  void rebuild_from_durable() override;
+  void fill_catchup_reply(recovery::CatchupReply& reply) override;
+  void merge_catchup_reply(const recovery::CatchupReply& msg, std::size_t bytes) override;
 
  private:
   [[nodiscard]] std::uint32_t dfp_lane() const {
@@ -154,32 +142,19 @@ class Replica : public rpc::Node {
   void try_finalize_dfp_range();
   void apply_dfp_range_resolve(const DfpRangeResolve& resolve);
 
-  // ---- crash recovery ----
-  void handle_catchup_request(NodeId from, const wire::Payload& payload);
-  void handle_catchup_reply(const wire::Payload& payload);
-  void send_catchup_requests();
-  void finish_rejoin();
-
   // ---- shared ----
   void handle_heartbeat(NodeId from, const wire::Payload& payload);
   void handle_probe(const net::Packet& packet);
   void broadcast_heartbeat();
   void execute_ready();
 
-  std::vector<NodeId> replicas_;
   std::size_t rank_ = 0;
   NodeId coordinator_;
   ReplicaConfig config_;
   log::GlobalLog log_;
-  sm::KvStore store_;
-  ExecuteHook exec_hook_;
   measure::Prober prober_;
   rpc::RepeatingTimer heartbeat_;
 
-  // Crash recovery.
-  recovery::Persistor persistor_;
-  bool catching_up_ = false;
-  TimePoint recovery_started_at_ = TimePoint::epoch();
   /// Timestamps of acceptances whose externalizing send is still waiting on
   /// the durable sync. While one is pending, the advertised clock watermark
   /// must not pass it: a heartbeat overtaking the delayed acceptance notice

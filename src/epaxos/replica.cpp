@@ -5,13 +5,8 @@
 #include <unordered_map>
 #include <utility>
 
-#include "recovery/messages.h"
-
 namespace domino::epaxos {
 namespace {
-
-/// Catch-up request retransmit interval for a recovering replica.
-constexpr Duration kCatchupRetryInterval = milliseconds(100);
 
 /// Union of two dependency lists (small lists; linear scan is fine).
 DepList merge_deps(DepList a, const DepList& b) {
@@ -33,7 +28,7 @@ bool same_deps(const DepList& a, const DepList& b) {
 
 Replica::Replica(NodeId id, std::size_t dc, net::Network& network,
                  std::vector<NodeId> replicas, sim::LocalClock clock)
-    : rpc::Node(id, dc, network, clock), replicas_(std::move(replicas)) {
+    : rpc::ReplicaBase(id, dc, network, std::move(replicas), clock) {
   if (std::find(replicas_.begin(), replicas_.end(), id) == replicas_.end()) {
     throw std::invalid_argument("epaxos::Replica: id not in replica set");
   }
@@ -75,12 +70,6 @@ void Replica::on_packet(const net::Packet& packet) {
   }
 }
 
-void Replica::enable_durability(recovery::DurableStore& store) {
-  persistor_.bind(store, id(), [this](Duration delay, std::function<void()> fn) {
-    after(delay, std::move(fn));
-  });
-}
-
 wire::Payload Replica::instance_record(const InstanceId& inst_id, const sm::Command& cmd,
                                        std::uint64_t seq, const DepList& deps,
                                        Status status, NodeId client) const {
@@ -109,7 +98,7 @@ std::pair<std::uint64_t, DepList> Replica::attributes_for(const sm::Command& cmd
 }
 
 void Replica::handle_client_request(const net::Packet& packet) {
-  if (catching_up_) return;  // not rejoined yet; the client's retry will land
+  if (catching_up()) return;  // not rejoined yet; the client's retry will land
   const auto req = wire::decode_message<ClientRequest>(packet.payload);
   const InstanceId inst{id(), next_instance_++};
   auto [seq, deps] = attributes_for(req.command, inst);
@@ -306,8 +295,7 @@ void Replica::handle_commit(const wire::Payload& payload) {
   });
 }
 
-void Replica::restart() {
-  persistor_.begin_restart();
+void Replica::wipe_volatile() {
   for (auto& [inst, span] : quorum_spans_) {
     (void)inst;
     close_wait_span(span);
@@ -322,20 +310,12 @@ void Replica::restart() {
   leading_.clear();
   key_table_.clear();
   waiters_.clear();
-  store_ = sm::KvStore{};
   next_instance_ = 0;
   committed_ = 0;
   executed_ = 0;
-  catching_up_ = true;
-  recovery_started_at_ = true_now();
-  if (obs_sink().tracing()) {
-    obs_sink().record(obs::TraceEvent{
-        .at = true_now(),
-        .kind = obs::EventKind::kRecoveryStart,
-        .node = id(),
-        .value = static_cast<std::int64_t>(persistor_.epoch())});
-  }
+}
 
+void Replica::rebuild_from_durable() {
   persistor_.replay([this](const recovery::DurableRecord& rec) {
     if (rec.tag != recovery::RecordTag::kAccepted &&
         rec.tag != recovery::RecordTag::kCommitted) {
@@ -412,36 +392,10 @@ void Replica::restart() {
       }
     }
   }
-  send_catchup_requests();
 }
 
-void Replica::send_catchup_requests() {
-  if (!catching_up_) return;
-  if (replicas_.size() <= 1) {
-    finish_rejoin();
-    return;
-  }
-  const recovery::CatchupRequest req{persistor_.epoch(), store_.applied_count()};
-  for (NodeId r : replicas_) {
-    if (r != id()) send(r, req);
-  }
-  after(kCatchupRetryInterval, [this, epoch = persistor_.epoch()] {
-    if (catching_up_ && epoch == persistor_.epoch()) send_catchup_requests();
-  });
-}
-
-void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) {
-  // Always served, even while this replica is itself catching up: replying
-  // with the current state keeps simultaneous recoveries from deadlocking.
-  const auto req = wire::decode_message<recovery::CatchupRequest>(payload);
-  recovery::CatchupReply reply;
-  reply.epoch = req.epoch;
-  reply.applied = store_.applied_count();
+void Replica::fill_catchup_reply(recovery::CatchupReply& reply) {
   reply.frontier = static_cast<std::int64_t>(store_.applied_count());
-  reply.snapshot.reserve(store_.items().size());
-  for (const auto& [key, value] : store_.items()) {
-    reply.snapshot.push_back(recovery::KvEntry{key, value});
-  }
   // EPaxos has no totally-ordered log: ship the full committed instance set
   // with its attributes in the aux field.
   for (const auto& [inst_id, inst] : instances_) {
@@ -453,26 +407,17 @@ void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) 
     aux.boolean(inst.status == Status::kExecuted);
     reply.entries.push_back(recovery::CatchupEntry{0, 0, inst.command, aux.take()});
   }
-  send(from, reply);
 }
 
-void Replica::handle_catchup_reply(const wire::Payload& payload) {
-  const auto msg = wire::decode_message<recovery::CatchupReply>(payload);
-  if (msg.epoch != persistor_.epoch()) return;  // reply to an older incarnation
+void Replica::merge_catchup_reply(const recovery::CatchupReply& msg, std::size_t bytes) {
   // Only the first qualifying reply installs a snapshot: once rejoined the
   // store reflects live executions a later reply's snapshot (taken at the
   // peer's earlier reply time, or by a peer with a different execution
   // frontier) may not contain — overwriting would silently lose them while
   // their instances stay marked executed. Later replies still merge their
   // committed-instance sets below, which is idempotent.
-  const bool installed = catching_up_ && msg.applied > store_.applied_count();
-  if (installed) {
-    std::unordered_map<std::string, std::string> items;
-    items.reserve(msg.snapshot.size());
-    for (const auto& e : msg.snapshot) items.emplace(e.key, e.value);
-    store_.install_snapshot(std::move(items), msg.applied);
-    persistor_.note_catchup_install(payload.size(), true_now() - recovery_started_at_);
-  }
+  const bool installed = catching_up() && msg.applied > store_.applied_count();
+  if (installed) install_snapshot(msg, bytes);
   std::unordered_set<InstanceId> peer_knows;
   peer_knows.reserve(msg.entries.size());
   for (const auto& e : msg.entries) {
@@ -513,7 +458,7 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
       commit_instance(inst_id, e.command, seq, deps, /*broadcast=*/false);
     }
   }
-  if (catching_up_) {
+  if (catching_up()) {
     // Re-announce own-led commits this peer does not know. A crash inside
     // the durable-sync window cancels the Commit broadcast after the
     // decision is already durable, and replay deliberately does not
@@ -530,20 +475,6 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
         if (r != id()) send(r, out);
       }
     }
-  }
-  finish_rejoin();
-}
-
-void Replica::finish_rejoin() {
-  if (!catching_up_) return;
-  catching_up_ = false;
-  const Duration took = true_now() - recovery_started_at_;
-  persistor_.note_rejoin(took);
-  if (obs_sink().tracing()) {
-    obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                      .kind = obs::EventKind::kRecoveryDone,
-                                      .node = id(),
-                                      .value = took.nanos()});
   }
 }
 
@@ -689,7 +620,7 @@ void Replica::execute_scc_from(const InstanceId& root) {
       ++executed_;
       obs_executed_.inc();
       store_.apply(inst.command);
-      if (exec_hook_) exec_hook_(inst.command.id, true_now());
+      notify_executed(inst.command.id);
     }
   }
 }

@@ -14,7 +14,6 @@
 // under contention in Figure 10(b).
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -22,9 +21,7 @@
 
 #include "epaxos/messages.h"
 #include "measure/quorum.h"
-#include "recovery/durable.h"
-#include "rpc/node.h"
-#include "statemachine/kvstore.h"
+#include "rpc/replica_base.h"
 
 namespace domino::epaxos {
 
@@ -37,28 +34,11 @@ namespace domino::epaxos {
 static_assert(fast_quorum(3) == 2);
 static_assert(fast_quorum(5) == 3);
 
-class Replica : public rpc::Node {
+class Replica : public rpc::ReplicaBase {
  public:
-  using ExecuteHook = std::function<void(const RequestId&, TimePoint)>;
-
   Replica(NodeId id, std::size_t dc, net::Network& network, std::vector<NodeId> replicas,
           sim::LocalClock clock = sim::LocalClock{});
 
-  void set_execute_hook(ExecuteHook hook) { exec_hook_ = std::move(hook); }
-
-  /// Bind simulated durable storage: instance attributes are persisted
-  /// before the replies/commits that externalize them, and the replica
-  /// survives an amnesiac restart().
-  void enable_durability(recovery::DurableStore& store);
-
-  /// Amnesiac restart: wipe volatile state, replay the durable image
-  /// (rebuilding the interference table and leader books), re-lead own
-  /// uncommitted instances, and catch up from live peers.
-  void restart();
-
-  [[nodiscard]] bool catching_up() const { return catching_up_; }
-
-  [[nodiscard]] const sm::KvStore& store() const { return store_; }
   [[nodiscard]] std::uint64_t committed_count() const { return committed_; }
   [[nodiscard]] std::uint64_t executed_count() const { return executed_; }
   [[nodiscard]] std::uint64_t fast_path_commits() const { return fast_commits_; }
@@ -66,6 +46,14 @@ class Replica : public rpc::Node {
 
  protected:
   void on_packet(const net::Packet& packet) override;
+
+  // Crash recovery (rpc::ReplicaBase hooks). Replay rebuilds the
+  // interference table and leader books and re-leads own uncommitted
+  // instances; a reply ships the full committed instance set.
+  void wipe_volatile() override;
+  void rebuild_from_durable() override;
+  void fill_catchup_reply(recovery::CatchupReply& reply) override;
+  void merge_catchup_reply(const recovery::CatchupReply& msg, std::size_t bytes) override;
 
  private:
   enum class Status : std::uint8_t { kPreAccepted, kAccepted, kCommitted, kExecuted };
@@ -95,10 +83,6 @@ class Replica : public rpc::Node {
   void handle_accept(NodeId from, const wire::Payload& payload);
   void handle_accept_reply(NodeId from, const wire::Payload& payload);
   void handle_commit(const wire::Payload& payload);
-  void handle_catchup_request(NodeId from, const wire::Payload& payload);
-  void handle_catchup_reply(const wire::Payload& payload);
-  void send_catchup_requests();
-  void finish_rejoin();
 
   /// Serialize an instance's attributes into a durable record body.
   [[nodiscard]] wire::Payload instance_record(const InstanceId& inst_id,
@@ -115,15 +99,6 @@ class Replica : public rpc::Node {
                        const DepList& deps, bool broadcast);
   void try_execute(const InstanceId& inst);
   void execute_scc_from(const InstanceId& root);
-
-  std::vector<NodeId> replicas_;
-  sm::KvStore store_;
-  ExecuteHook exec_hook_;
-
-  // Crash recovery.
-  recovery::Persistor persistor_;
-  bool catching_up_ = false;
-  TimePoint recovery_started_at_ = TimePoint::epoch();
 
   std::unordered_map<InstanceId, Instance> instances_;
   std::unordered_map<InstanceId, LeaderBook> leading_;

@@ -1,24 +1,17 @@
 #include "fastpaxos/replica.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
-#include "recovery/messages.h"
-
 namespace domino::fastpaxos {
-
-namespace {
-/// Catch-up request retransmit interval for a recovering replica.
-constexpr Duration kCatchupRetryInterval = milliseconds(100);
-}  // namespace
 
 Replica::Replica(NodeId id, std::size_t dc, net::Network& network,
                  std::vector<NodeId> replicas, NodeId coordinator,
                  Duration recovery_timeout, sim::LocalClock clock)
-    : rpc::Node(id, dc, network, clock),
-      replicas_(std::move(replicas)),
+    : rpc::ReplicaBase(id, dc, network, std::move(replicas), clock),
       coordinator_(coordinator),
       recovery_timeout_(recovery_timeout) {
   if (std::find(replicas_.begin(), replicas_.end(), id) == replicas_.end()) {
@@ -58,16 +51,10 @@ void Replica::on_packet(const net::Packet& packet) {
   }
 }
 
-void Replica::enable_durability(recovery::DurableStore& store) {
-  persistor_.bind(store, id(), [this](Duration delay, std::function<void()> fn) {
-    after(delay, std::move(fn));
-  });
-}
-
 // ---------------------------------------------------------------- acceptor
 
 void Replica::handle_client_request(const net::Packet& packet) {
-  if (catching_up_) return;  // not rejoined yet; the client's retry will land
+  if (catching_up()) return;  // not rejoined yet; the client's retry will land
   const auto req = wire::decode_message<ClientRequest>(packet.payload);
   const RequestId rid = req.command.id;
 
@@ -150,7 +137,7 @@ void Replica::handle_accept_notice(NodeId from, const wire::Payload& payload) {
   if (!is_coordinator()) return;
   const auto msg = wire::decode_message<AcceptNotice>(payload);
   Tally& tally = tallies_[msg.index];
-  if (tally.resolved) {
+  if (decided(msg.index, tally)) {
     // Late report for an already-resolved position. Re-send the decision to
     // the reporter: if it is a recovering acceptor retrying a request whose
     // Commit died with a crash, this is what unblocks its log.
@@ -172,7 +159,7 @@ void Replica::handle_accept_notice(NodeId from, const wire::Payload& payload) {
 
 void Replica::maybe_resolve(std::uint64_t index) {
   Tally& tally = tallies_[index];
-  if (tally.resolved || tally.recovering) return;
+  if (decided(index, tally) || tally.recovering) return;
 
   // Count acceptances per request.
   std::unordered_map<RequestId, std::size_t> counts;
@@ -207,7 +194,9 @@ void Replica::maybe_resolve(std::uint64_t index) {
     tally.timer_armed = true;
     after(recovery_timeout_, [this, index] {
       auto it = tallies_.find(index);
-      if (it == tallies_.end() || it->second.resolved || it->second.recovering) return;
+      if (it == tallies_.end() || decided(index, it->second) || it->second.recovering) {
+        return;
+      }
       if (it->second.reports.size() >= measure::majority(replicas_.size())) {
         start_recovery(index);
       }
@@ -270,7 +259,9 @@ void Replica::handle_recovery_reply(const wire::Payload& payload) {
   if (!is_coordinator()) return;
   const auto msg = wire::decode_message<RecoveryReply>(payload);
   auto it = tallies_.find(msg.index);
-  if (it == tallies_.end() || it->second.resolved || !it->second.recovering) return;
+  if (it == tallies_.end() || decided(msg.index, it->second) || !it->second.recovering) {
+    return;
+  }
   Tally& tally = it->second;
   if (++tally.recovery_acks < measure::majority(replicas_.size())) return;
   const Commit choice = *tally.recovery_choice;
@@ -350,32 +341,24 @@ void Replica::repropose_losers(std::uint64_t index, const std::optional<RequestI
   }
 }
 
-void Replica::restart() {
-  persistor_.begin_restart();
+void Replica::wipe_volatile() {
   for (auto& [index, span] : recovery_spans_) {
     (void)index;
     close_wait_span(span);
   }
   recovery_spans_.clear();
   log_ = log::IndexLog{};
-  store_ = sm::KvStore{};
   assignment_.clear();
   next_index_ = 0;
   tallies_.clear();
+  learned_skips_ = IntervalSet{};
   committed_requests_.clear();
   recovery_chosen_.clear();
   fast_commits_ = 0;
   slow_commits_ = 0;
-  catching_up_ = true;
-  recovery_started_at_ = true_now();
-  if (obs_sink().tracing()) {
-    obs_sink().record(obs::TraceEvent{
-        .at = true_now(),
-        .kind = obs::EventKind::kRecoveryStart,
-        .node = id(),
-        .value = static_cast<std::int64_t>(persistor_.epoch())});
-  }
+}
 
+void Replica::rebuild_from_durable() {
   std::uint64_t max_index = 0;
   bool any = false;
   persistor_.replay([this, &max_index, &any](const recovery::DurableRecord& rec) {
@@ -427,45 +410,21 @@ void Replica::restart() {
     for (std::uint64_t index = log_.execution_frontier(); index <= max_index; ++index) {
       if (log_.is_skipped(index) || log_.is_committed(index)) continue;
       Tally& tally = tallies_[index];
-      if (tally.resolved) continue;
+      if (decided(index, tally)) continue;
       tally.timer_armed = true;
       after(recovery_timeout_, [this, index] {
         auto it = tallies_.find(index);
-        if (it == tallies_.end() || it->second.resolved || it->second.recovering) return;
+        if (it == tallies_.end() || decided(index, it->second) || it->second.recovering) {
+          return;
+        }
         start_recovery(index);
       });
     }
   }
-  send_catchup_requests();
 }
 
-void Replica::send_catchup_requests() {
-  if (!catching_up_) return;
-  if (replicas_.size() <= 1) {
-    finish_rejoin();
-    return;
-  }
-  const recovery::CatchupRequest req{persistor_.epoch(), store_.applied_count()};
-  for (NodeId r : replicas_) {
-    if (r != id()) send(r, req);
-  }
-  after(kCatchupRetryInterval, [this, epoch = persistor_.epoch()] {
-    if (catching_up_ && epoch == persistor_.epoch()) send_catchup_requests();
-  });
-}
-
-void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) {
-  // Always served, even while this replica is itself catching up: replying
-  // with the current state keeps simultaneous recoveries from deadlocking.
-  const auto req = wire::decode_message<recovery::CatchupRequest>(payload);
-  recovery::CatchupReply reply;
-  reply.epoch = req.epoch;
-  reply.applied = store_.applied_count();
+void Replica::fill_catchup_reply(recovery::CatchupReply& reply) {
   reply.frontier = static_cast<std::int64_t>(log_.execution_frontier());
-  reply.snapshot.reserve(store_.items().size());
-  for (const auto& [key, value] : store_.items()) {
-    reply.snapshot.push_back(recovery::KvEntry{key, value});
-  }
   for (auto& [index, command] : log_.committed_unexecuted()) {
     reply.entries.push_back(recovery::CatchupEntry{
         static_cast<std::int64_t>(index), 0, std::move(command), {}});
@@ -479,30 +438,29 @@ void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) 
     reply.entries.push_back(recovery::CatchupEntry{
         static_cast<std::int64_t>(lo), 0, sm::Command{}, aux.take()});
   }
-  send(from, reply);
 }
 
-void Replica::handle_catchup_reply(const wire::Payload& payload) {
-  const auto msg = wire::decode_message<recovery::CatchupReply>(payload);
-  if (msg.epoch != persistor_.epoch()) return;  // reply to an older incarnation
+void Replica::merge_catchup_reply(const recovery::CatchupReply& msg, std::size_t bytes) {
   if (msg.frontier > static_cast<std::int64_t>(log_.execution_frontier())) {
-    std::unordered_map<std::string, std::string> items;
-    items.reserve(msg.snapshot.size());
-    for (const auto& e : msg.snapshot) items.emplace(e.key, e.value);
-    store_.install_snapshot(std::move(items), msg.applied);
+    install_snapshot(msg, bytes);
     log_.fast_forward(static_cast<std::uint64_t>(msg.frontier));
-    persistor_.note_catchup_install(payload.size(), true_now() - recovery_started_at_);
   }
+  constexpr auto kMaxIndex =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
   for (const auto& e : msg.entries) {
-    if (!e.aux.empty()) {  // skipped range [pos, aux]
+    if (e.pos < 0) continue;  // no honest peer sends a negative index
+    if (!e.aux.empty()) {     // skipped range [pos, aux]
       wire::ByteReader ar(e.aux);
       const std::uint64_t hi = ar.varint();
+      if (hi > kMaxIndex) continue;  // beyond any log index; drop it
       const auto lo =
           std::max(static_cast<std::uint64_t>(e.pos), log_.execution_frontier());
       if (hi < lo) continue;
+      // Constant work per range whatever its length: the range end is the
+      // peer's choice.
       log_.skip(lo, hi);
       if (is_coordinator()) {
-        for (std::uint64_t i = lo; i <= hi; ++i) tallies_[i].resolved = true;
+        learned_skips_.insert(static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi));
       }
       continue;
     }
@@ -515,20 +473,6 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
     }
   }
   execute_ready();
-  finish_rejoin();
-}
-
-void Replica::finish_rejoin() {
-  if (!catching_up_) return;
-  catching_up_ = false;
-  const Duration took = true_now() - recovery_started_at_;
-  persistor_.note_rejoin(took);
-  if (obs_sink().tracing()) {
-    obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                      .kind = obs::EventKind::kRecoveryDone,
-                                      .node = id(),
-                                      .value = took.nanos()});
-  }
 }
 
 void Replica::execute_ready() {
@@ -536,7 +480,7 @@ void Replica::execute_ready() {
     (void)index;
     store_.apply(command);
     obs_executed_.inc();
-    if (exec_hook_) exec_hook_(command.id, true_now());
+    notify_executed(command.id);
   }
 }
 

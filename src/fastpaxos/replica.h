@@ -15,52 +15,41 @@
 // Requests that lose their position are re-proposed by the coordinator.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/interval_set.h"
 #include "fastpaxos/messages.h"
 #include "log/index_log.h"
 #include "measure/quorum.h"
-#include "recovery/durable.h"
-#include "rpc/node.h"
-#include "statemachine/kvstore.h"
+#include "rpc/replica_base.h"
 
 namespace domino::fastpaxos {
 
-class Replica : public rpc::Node {
+class Replica : public rpc::ReplicaBase {
  public:
-  using ExecuteHook = std::function<void(const RequestId&, TimePoint)>;
-
   Replica(NodeId id, std::size_t dc, net::Network& network, std::vector<NodeId> replicas,
           NodeId coordinator, Duration recovery_timeout = milliseconds(500),
           sim::LocalClock clock = sim::LocalClock{});
 
-  void set_execute_hook(ExecuteHook hook) { exec_hook_ = std::move(hook); }
-
-  /// Bind simulated durable storage: ballot-0 acceptances and commit
-  /// decisions are persisted before the notices/commits that externalize
-  /// them, and the replica survives an amnesiac restart().
-  void enable_durability(recovery::DurableStore& store);
-
-  /// Amnesiac restart: wipe volatile state, replay the durable image, and
-  /// catch up from live peers. A restarted coordinator additionally arms
-  /// recovery timers for undecided indices whose tallies died with it.
-  void restart();
-
-  [[nodiscard]] bool catching_up() const { return catching_up_; }
-
   [[nodiscard]] bool is_coordinator() const { return coordinator_ == id(); }
   [[nodiscard]] const log::IndexLog& log() const { return log_; }
-  [[nodiscard]] const sm::KvStore& store() const { return store_; }
   [[nodiscard]] std::uint64_t fast_commits() const { return fast_commits_; }
   [[nodiscard]] std::uint64_t slow_commits() const { return slow_commits_; }
 
  protected:
   void on_packet(const net::Packet& packet) override;
+
+  // Crash recovery (rpc::ReplicaBase hooks). A restarted coordinator arms
+  // recovery timers for undecided indices whose tallies died with it; a
+  // catch-up reply also ships the skipped (no-op) ranges.
+  void wipe_volatile() override;
+  void rebuild_from_durable() override;
+  void fill_catchup_reply(recovery::CatchupReply& reply) override;
+  void merge_catchup_reply(const recovery::CatchupReply& msg, std::size_t bytes) override;
 
  private:
   // ---- acceptor side ----
@@ -77,24 +66,11 @@ class Replica : public rpc::Node {
                      bool was_fast);
   void repropose_losers(std::uint64_t index, const std::optional<RequestId>& winner);
 
-  void handle_catchup_request(NodeId from, const wire::Payload& payload);
-  void handle_catchup_reply(const wire::Payload& payload);
-  void send_catchup_requests();
-  void finish_rejoin();
-
   void execute_ready();
 
-  std::vector<NodeId> replicas_;
   NodeId coordinator_;
   Duration recovery_timeout_;
   log::IndexLog log_;
-  sm::KvStore store_;
-  ExecuteHook exec_hook_;
-
-  // Crash recovery.
-  recovery::Persistor persistor_;
-  bool catching_up_ = false;
-  TimePoint recovery_started_at_ = TimePoint::epoch();
 
   // Acceptor state: where each request was assigned locally.
   std::unordered_map<RequestId, std::uint64_t> assignment_;
@@ -110,6 +86,14 @@ class Replica : public rpc::Node {
     bool timer_armed = false;
   };
   std::map<std::uint64_t, Tally> tallies_;
+  /// Skipped ranges learned from peers' catch-up replies. Kept as ranges
+  /// (not per-index tallies) so the work per range is independent of its
+  /// length, which a peer chooses.
+  IntervalSet learned_skips_;
+  /// An index's tally is settled: resolved here, or inside a learned skip.
+  [[nodiscard]] bool decided(std::uint64_t index, const Tally& tally) const {
+    return tally.resolved || learned_skips_.contains(static_cast<std::int64_t>(index));
+  }
   std::unordered_map<std::uint64_t, obs::SpanId> recovery_spans_;  // index -> wait span
   std::unordered_map<RequestId, sm::Command> committed_requests_;
   // Requests picked by an in-flight recovery; excluded from concurrent

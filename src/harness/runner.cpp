@@ -18,6 +18,8 @@
 #include "obs/sink.h"
 #include "paxos/client.h"
 #include "paxos/replica.h"
+#include "rpc/client_base.h"
+#include "rpc/replica_base.h"
 #include "sim/simulator.h"
 
 namespace domino::harness {
@@ -123,12 +125,11 @@ struct Env {
   /// Bind `replica` to the durable store and register its amnesiac-restart
   /// action. Call before moving the owning unique_ptr into the vector is
   /// fine — the pointee address is stable.
-  template <typename ReplicaT>
-  void enable_recovery(ReplicaT& replica, NodeId id) {
+  void enable_recovery(rpc::ReplicaBase& replica) {
     if (!durability()) return;
     replica.enable_durability(durable);
     if (scenario.amnesia_crashes) {
-      restarters[id] = [r = &replica] { r->restart(); };
+      restarters[replica.id()] = [r = &replica] { r->restart(); };
     }
   }
 
@@ -149,13 +150,12 @@ struct Env {
   }
 
   /// Start load on the clients, run the full schedule, fill common results.
-  template <typename ClientT>
-  void drive(std::vector<std::unique_ptr<ClientT>>& clients, RunResult& result) {
+  void drive(const std::vector<std::unique_ptr<rpc::ClientBase>>& clients, RunResult& result) {
     workloads.reserve(clients.size());
     for (std::size_t i = 0; i < clients.size(); ++i) {
       workloads.push_back(std::make_unique<sm::WorkloadGenerator>(
           scenario.workload, scenario.seed * 7919 + i));
-      ClientT* client = clients[i].get();
+      rpc::ClientBase* client = clients[i].get();
       if (scenario.client_request_timeout > Duration::zero()) {
         client->set_request_timeout(scenario.client_request_timeout,
                                     scenario.client_max_retries);
@@ -274,8 +274,7 @@ struct Env {
 
   /// Record each replica's state-machine fingerprint (chaos convergence
   /// checks compare these across the live majority).
-  template <typename ReplicaT>
-  void collect_stores(const std::vector<std::unique_ptr<ReplicaT>>& replicas,
+  void collect_stores(const std::vector<std::unique_ptr<rpc::ReplicaBase>>& replicas,
                       RunResult& result) const {
     result.replica_store_fingerprints.reserve(replicas.size());
     result.replica_applied_counts.reserve(replicas.size());
@@ -301,241 +300,202 @@ struct Env {
   TimePoint window_end;
   LatencyCollector collector;
   std::vector<std::unique_ptr<sm::WorkloadGenerator>> workloads;
-  recovery::DurableStore durable;  // outlives replicas (impl-function locals)
+  recovery::DurableStore durable;  // outlives replicas (run_plan locals)
   std::unordered_map<NodeId, std::function<void()>> restarters;
 };
 
-RunResult run_multipaxos_impl(const Scenario& s) {
-  Env env(s);
-  RunResult result;
+/// What a factory needs to build one node.
+struct NodeSlot {
+  NodeId id;
+  std::size_t dc;
+  const std::vector<NodeId>& replicas;  // every replica id, in scenario order
+  net::Network& network;
+  sim::LocalClock clock;
+};
 
-  std::vector<NodeId> rids;
-  for (std::size_t i = 0; i < s.replica_dcs.size(); ++i) rids.push_back(replica_id(i));
-  const NodeId leader = rids[s.leader_index];
+struct Deployment {
+  std::vector<std::unique_ptr<rpc::ReplicaBase>> replicas;
+  std::vector<std::unique_ptr<rpc::ClientBase>> clients;
+};
 
-  std::vector<std::unique_ptr<paxos::Replica>> replicas;
-  for (std::size_t i = 0; i < s.replica_dcs.size(); ++i) {
-    auto r = std::make_unique<paxos::Replica>(rids[i], s.replica_dcs[i], env.network, rids,
-                                              leader, env.next_clock());
-    r->attach();
-    env.enable_recovery(*r, rids[i]);
-    env.apply_capacity(rids[i], true);
-    r->set_execute_hook([&env](const RequestId& id, TimePoint at) {
-      env.collector.on_execute(id, at);
-    });
-    replicas.push_back(std::move(r));
-  }
+/// The protocol-specific parts of a run: how to build a replica and a
+/// client, and (optionally) which protocol counters to copy into the result
+/// once the run is over.
+struct ProtocolPlan {
+  std::function<std::unique_ptr<rpc::ReplicaBase>(const NodeSlot&)> replica;
+  std::function<std::unique_ptr<rpc::ClientBase>(const NodeSlot&)> client;
+  std::function<void(const Deployment&, RunResult&)> tail;
+};
 
-  std::vector<std::unique_ptr<paxos::Client>> clients;
-  for (std::size_t i = 0; i < s.client_dcs.size(); ++i) {
-    auto c = std::make_unique<paxos::Client>(client_id(i), s.client_dcs[i], env.network,
-                                             leader, env.next_clock());
-    c->attach();
-    env.apply_capacity(client_id(i), false);
-    clients.push_back(std::move(c));
-  }
-
-  env.drive(clients, result);
-  env.collect_stores(replicas, result);
-  return result;
-}
-
-RunResult run_mencius_impl(const Scenario& s) {
+/// Deploy and run one protocol. Clocks are drawn replicas first, then
+/// clients, and every node is wired in the order construct -> attach ->
+/// durability -> start -> capacity -> execute hook, so a seed fixes the run.
+RunResult run_plan(const Scenario& s, const ProtocolPlan& plan) {
   Env env(s);
   RunResult result;
 
   std::vector<NodeId> rids;
   for (std::size_t i = 0; i < s.replica_dcs.size(); ++i) rids.push_back(replica_id(i));
 
-  std::vector<std::unique_ptr<mencius::Replica>> replicas;
+  Deployment d;
   for (std::size_t i = 0; i < s.replica_dcs.size(); ++i) {
-    auto r = std::make_unique<mencius::Replica>(rids[i], s.replica_dcs[i], env.network, rids,
-                                                milliseconds(10), env.next_clock());
+    auto r = plan.replica(NodeSlot{rids[i], s.replica_dcs[i], rids, env.network,
+                                   env.next_clock()});
     r->attach();
-    env.enable_recovery(*r, rids[i]);
+    env.enable_recovery(*r);
     r->start();
     env.apply_capacity(rids[i], true);
     r->set_execute_hook([&env](const RequestId& id, TimePoint at) {
       env.collector.on_execute(id, at);
     });
-    replicas.push_back(std::move(r));
+    d.replicas.push_back(std::move(r));
   }
-
-  std::vector<std::unique_ptr<mencius::Client>> clients;
   for (std::size_t i = 0; i < s.client_dcs.size(); ++i) {
-    const NodeId coordinator =
-        rids[closest_replica(s.topology, s.replica_dcs, s.client_dcs[i])];
-    auto c = std::make_unique<mencius::Client>(client_id(i), s.client_dcs[i], env.network,
-                                               coordinator, env.next_clock());
-    c->attach();
-    env.apply_capacity(client_id(i), false);
-    clients.push_back(std::move(c));
-  }
-
-  env.drive(clients, result);
-  env.collect_stores(replicas, result);
-  return result;
-}
-
-RunResult run_epaxos_impl(const Scenario& s) {
-  Env env(s);
-  RunResult result;
-
-  std::vector<NodeId> rids;
-  for (std::size_t i = 0; i < s.replica_dcs.size(); ++i) rids.push_back(replica_id(i));
-
-  std::vector<std::unique_ptr<epaxos::Replica>> replicas;
-  for (std::size_t i = 0; i < s.replica_dcs.size(); ++i) {
-    auto r = std::make_unique<epaxos::Replica>(rids[i], s.replica_dcs[i], env.network, rids,
-                                               env.next_clock());
-    r->attach();
-    env.enable_recovery(*r, rids[i]);
-    env.apply_capacity(rids[i], true);
-    r->set_execute_hook([&env](const RequestId& id, TimePoint at) {
-      env.collector.on_execute(id, at);
-    });
-    replicas.push_back(std::move(r));
-  }
-
-  std::vector<std::unique_ptr<epaxos::Client>> clients;
-  for (std::size_t i = 0; i < s.client_dcs.size(); ++i) {
-    const NodeId leader = rids[closest_replica(s.topology, s.replica_dcs, s.client_dcs[i])];
-    auto c = std::make_unique<epaxos::Client>(client_id(i), s.client_dcs[i], env.network,
-                                              leader, env.next_clock());
-    c->attach();
-    env.apply_capacity(client_id(i), false);
-    clients.push_back(std::move(c));
-  }
-
-  env.drive(clients, result);
-  env.collect_stores(replicas, result);
-  for (const auto& r : replicas) {
-    result.fast_path += r->fast_path_commits();
-    result.slow_path += r->slow_path_commits();
-  }
-  return result;
-}
-
-RunResult run_fastpaxos_impl(const Scenario& s) {
-  Env env(s);
-  RunResult result;
-
-  std::vector<NodeId> rids;
-  for (std::size_t i = 0; i < s.replica_dcs.size(); ++i) rids.push_back(replica_id(i));
-  const NodeId coordinator = rids[s.leader_index];
-
-  std::vector<std::unique_ptr<fastpaxos::Replica>> replicas;
-  for (std::size_t i = 0; i < s.replica_dcs.size(); ++i) {
-    auto r = std::make_unique<fastpaxos::Replica>(rids[i], s.replica_dcs[i], env.network,
-                                                  rids, coordinator, milliseconds(500),
-                                                  env.next_clock());
-    r->attach();
-    env.enable_recovery(*r, rids[i]);
-    env.apply_capacity(rids[i], true);
-    r->set_execute_hook([&env](const RequestId& id, TimePoint at) {
-      env.collector.on_execute(id, at);
-    });
-    replicas.push_back(std::move(r));
-  }
-
-  std::vector<std::unique_ptr<fastpaxos::Client>> clients;
-  for (std::size_t i = 0; i < s.client_dcs.size(); ++i) {
-    auto c = std::make_unique<fastpaxos::Client>(client_id(i), s.client_dcs[i], env.network,
-                                                 rids, env.next_clock());
-    c->attach();
-    env.apply_capacity(client_id(i), false);
-    clients.push_back(std::move(c));
-  }
-
-  env.drive(clients, result);
-  env.collect_stores(replicas, result);
-  for (const auto& r : replicas) {
-    result.fast_path += r->fast_commits();
-    result.slow_path += r->slow_commits();
-  }
-  return result;
-}
-
-RunResult run_domino_impl(const Scenario& s) {
-  Env env(s);
-  RunResult result;
-
-  std::vector<NodeId> rids;
-  for (std::size_t i = 0; i < s.replica_dcs.size(); ++i) rids.push_back(replica_id(i));
-  const NodeId coordinator = rids[s.leader_index];
-
-  std::vector<std::unique_ptr<core::Replica>> replicas;
-  for (std::size_t i = 0; i < s.replica_dcs.size(); ++i) {
-    core::ReplicaConfig rc;
-    rc.prober.percentile = s.measurement_percentile;
-    rc.prober.probe_interval = s.probe_interval;
-    rc.prober.window = s.measurement_window;
-    rc.all_replicas_learn = s.domino_all_learners;
-    auto r = std::make_unique<core::Replica>(rids[i], s.replica_dcs[i], env.network, rids,
-                                             coordinator, rc, env.next_clock());
-    r->attach();
-    env.enable_recovery(*r, rids[i]);
-    r->start();
-    env.apply_capacity(rids[i], true);
-    r->set_execute_hook([&env](const RequestId& id, TimePoint at) {
-      env.collector.on_execute(id, at);
-    });
-    replicas.push_back(std::move(r));
-  }
-
-  std::vector<std::unique_ptr<core::Client>> clients;
-  for (std::size_t i = 0; i < s.client_dcs.size(); ++i) {
-    core::ClientConfig cc;
-    cc.prober.percentile = s.measurement_percentile;
-    cc.prober.probe_interval = s.probe_interval;
-    cc.prober.window = s.measurement_window;
-    cc.additional_delay = s.additional_delay;
-    cc.mode = s.domino_mode;
-    cc.adaptive = s.domino_adaptive;
-    cc.timestamp_shard_space = s.domino_timestamp_shard_space;
-    auto c = std::make_unique<core::Client>(client_id(i), s.client_dcs[i], env.network,
-                                            rids, cc, env.next_clock());
+    auto c = plan.client(NodeSlot{client_id(i), s.client_dcs[i], rids, env.network,
+                                  env.next_clock()});
     c->attach();
     c->start();
     env.apply_capacity(client_id(i), false);
-    clients.push_back(std::move(c));
+    d.clients.push_back(std::move(c));
   }
 
-  env.drive(clients, result);
-  env.collect_stores(replicas, result);
-  for (const auto& r : replicas) {
-    result.fast_path += r->dfp_fast_commits();
-    result.slow_path += r->dfp_slow_commits();
-  }
-  for (const auto& c : clients) {
-    result.dfp_chosen += c->dfp_chosen();
-    result.dm_chosen += c->dm_chosen();
-  }
-  if (s.prediction_audit && s.observability) {
-    // Estimator calibration: every prober's predicted-vs-realized score
-    // card, replicas first then clients, in construction order (each
-    // prober's targets are already in registered order) — deterministic.
-    for (const auto& r : replicas) {
-      const auto rows = obs::calibration_rows(r->prober().calibration());
-      result.calibration.insert(result.calibration.end(), rows.begin(), rows.end());
-    }
-    for (const auto& c : clients) {
-      const auto rows = obs::calibration_rows(c->prober().calibration());
-      result.calibration.insert(result.calibration.end(), rows.begin(), rows.end());
-    }
-  }
+  env.drive(d.clients, result);
+  env.collect_stores(d.replicas, result);
+  if (plan.tail) plan.tail(d, result);
   return result;
+}
+
+/// The replica a Mencius/EPaxos client is pre-configured to talk to.
+NodeId closest_replica_id(const Scenario& s, const NodeSlot& client) {
+  return client.replicas[closest_replica(s.topology, s.replica_dcs, client.dc)];
+}
+
+ProtocolPlan multipaxos_plan(const Scenario& s) {
+  return {
+      [&s](const NodeSlot& n) {
+        return std::make_unique<paxos::Replica>(n.id, n.dc, n.network, n.replicas,
+                                                n.replicas[s.leader_index], n.clock);
+      },
+      [&s](const NodeSlot& n) {
+        return std::make_unique<paxos::Client>(n.id, n.dc, n.network,
+                                               n.replicas[s.leader_index], n.clock);
+      },
+      nullptr};
+}
+
+ProtocolPlan mencius_plan(const Scenario& s) {
+  return {
+      [](const NodeSlot& n) {
+        return std::make_unique<mencius::Replica>(n.id, n.dc, n.network, n.replicas,
+                                                  milliseconds(10), n.clock);
+      },
+      [&s](const NodeSlot& n) {
+        return std::make_unique<mencius::Client>(n.id, n.dc, n.network,
+                                                 closest_replica_id(s, n), n.clock);
+      },
+      nullptr};
+}
+
+ProtocolPlan epaxos_plan(const Scenario& s) {
+  return {
+      [](const NodeSlot& n) {
+        return std::make_unique<epaxos::Replica>(n.id, n.dc, n.network, n.replicas, n.clock);
+      },
+      [&s](const NodeSlot& n) {
+        return std::make_unique<epaxos::Client>(n.id, n.dc, n.network,
+                                                closest_replica_id(s, n), n.clock);
+      },
+      [](const Deployment& d, RunResult& result) {
+        for (const auto& r : d.replicas) {
+          const auto& replica = static_cast<const epaxos::Replica&>(*r);
+          result.fast_path += replica.fast_path_commits();
+          result.slow_path += replica.slow_path_commits();
+        }
+      }};
+}
+
+ProtocolPlan fastpaxos_plan(const Scenario& s) {
+  return {
+      [&s](const NodeSlot& n) {
+        return std::make_unique<fastpaxos::Replica>(n.id, n.dc, n.network, n.replicas,
+                                                    n.replicas[s.leader_index],
+                                                    milliseconds(500), n.clock);
+      },
+      [](const NodeSlot& n) {
+        return std::make_unique<fastpaxos::Client>(n.id, n.dc, n.network, n.replicas,
+                                                   n.clock);
+      },
+      [](const Deployment& d, RunResult& result) {
+        for (const auto& r : d.replicas) {
+          const auto& replica = static_cast<const fastpaxos::Replica&>(*r);
+          result.fast_path += replica.fast_commits();
+          result.slow_path += replica.slow_commits();
+        }
+      }};
+}
+
+ProtocolPlan domino_plan(const Scenario& s) {
+  return {
+      [&s](const NodeSlot& n) {
+        core::ReplicaConfig rc;
+        rc.prober.percentile = s.measurement_percentile;
+        rc.prober.probe_interval = s.probe_interval;
+        rc.prober.window = s.measurement_window;
+        rc.all_replicas_learn = s.domino_all_learners;
+        return std::make_unique<core::Replica>(n.id, n.dc, n.network, n.replicas,
+                                               n.replicas[s.leader_index], rc, n.clock);
+      },
+      [&s](const NodeSlot& n) {
+        core::ClientConfig cc;
+        cc.prober.percentile = s.measurement_percentile;
+        cc.prober.probe_interval = s.probe_interval;
+        cc.prober.window = s.measurement_window;
+        cc.additional_delay = s.additional_delay;
+        cc.mode = s.domino_mode;
+        cc.adaptive = s.domino_adaptive;
+        cc.timestamp_shard_space = s.domino_timestamp_shard_space;
+        return std::make_unique<core::Client>(n.id, n.dc, n.network, n.replicas, cc,
+                                              n.clock);
+      },
+      [&s](const Deployment& d, RunResult& result) {
+        for (const auto& r : d.replicas) {
+          const auto& replica = static_cast<const core::Replica&>(*r);
+          result.fast_path += replica.dfp_fast_commits();
+          result.slow_path += replica.dfp_slow_commits();
+        }
+        for (const auto& c : d.clients) {
+          const auto& client = static_cast<const core::Client&>(*c);
+          result.dfp_chosen += client.dfp_chosen();
+          result.dm_chosen += client.dm_chosen();
+        }
+        if (s.prediction_audit && s.observability) {
+          // Estimator calibration: every prober's predicted-vs-realized
+          // score card, replicas first then clients, in construction order
+          // (each prober's targets are already in registered order) —
+          // deterministic.
+          for (const auto& r : d.replicas) {
+            const auto rows = obs::calibration_rows(
+                static_cast<const core::Replica&>(*r).prober().calibration());
+            result.calibration.insert(result.calibration.end(), rows.begin(), rows.end());
+          }
+          for (const auto& c : d.clients) {
+            const auto rows = obs::calibration_rows(
+                static_cast<const core::Client&>(*c).prober().calibration());
+            result.calibration.insert(result.calibration.end(), rows.begin(), rows.end());
+          }
+        }
+      }};
 }
 
 }  // namespace
 
 RunResult run_protocol(Protocol protocol, const Scenario& scenario) {
   switch (protocol) {
-    case Protocol::kMultiPaxos: return run_multipaxos_impl(scenario);
-    case Protocol::kMencius: return run_mencius_impl(scenario);
-    case Protocol::kEPaxos: return run_epaxos_impl(scenario);
-    case Protocol::kFastPaxos: return run_fastpaxos_impl(scenario);
-    case Protocol::kDomino: return run_domino_impl(scenario);
+    case Protocol::kMultiPaxos: return run_plan(scenario, multipaxos_plan(scenario));
+    case Protocol::kMencius: return run_plan(scenario, mencius_plan(scenario));
+    case Protocol::kEPaxos: return run_plan(scenario, epaxos_plan(scenario));
+    case Protocol::kFastPaxos: return run_plan(scenario, fastpaxos_plan(scenario));
+    case Protocol::kDomino: return run_plan(scenario, domino_plan(scenario));
   }
   throw std::logic_error("run_protocol: unknown protocol");
 }

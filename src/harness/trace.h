@@ -1,10 +1,10 @@
-// Synthetic delay-trace generation and arrival-time prediction analysis.
+// Arrival-time prediction analysis over probe traces.
 //
-// Stands in for the paper's 24-hour Azure probe traces [4, 5]: a directed
-// link is modelled as a stable one-way propagation delay plus log-normal
-// jitter, rare spikes, optional slow base-delay wander, and optional route
-// asymmetry; endpoints carry clock offsets. From a generated trace the
-// analysis utilities reproduce:
+// Stands in for the paper's analysis of its 24-hour Azure probe traces
+// [4, 5]. Directed WAN delay series (measured fixtures under bench/traces/,
+// or synthetic ones from wan::TraceGenerator, one series per direction) are
+// paired into the samples a prober would observe, and the analysis
+// utilities reproduce:
 //   - Figure 3's correct-prediction rate (percentile x window sweep),
 //   - Tables 2 and 3's p99 misprediction values for the half-RTT and
 //     replica-timestamp OWD estimators.
@@ -12,31 +12,10 @@
 
 #include <vector>
 
-#include "common/rng.h"
-#include "common/stats.h"
 #include "common/time.h"
 #include "wan/delay_trace.h"
 
 namespace domino::harness {
-
-struct LinkTraceConfig {
-  Duration rtt = milliseconds(67);   // nominal round-trip propagation delay
-  double forward_share = 0.5;        // fraction of the RTT on the forward path
-  double jitter_mu_ms = -2.0;        // log-normal jitter (per direction)
-  double jitter_sigma = 0.8;
-  double spike_prob = 0.0005;
-  Duration spike_mean = milliseconds(8);
-  /// Slow sinusoidal wander of the base delay (amplitude), emulating
-  /// diurnal drift; zero disables.
-  Duration wander_amplitude = Duration::zero();
-  Duration wander_period = seconds(3600);
-  /// Clock offset of the remote endpoint relative to the prober.
-  Duration remote_clock_offset = Duration::zero();
-
-  Duration probe_interval = milliseconds(10);
-  Duration duration = seconds(60);
-  std::uint64_t seed = 1;
-};
 
 struct ProbeSample {
   TimePoint sent_at;        // prober's clock
@@ -44,9 +23,6 @@ struct ProbeSample {
   Duration owd_measured;    // replica timestamp - send timestamp (includes skew)
   Duration owd_true_offset; // true forward delay + clock skew (what arrivals obey)
 };
-
-/// Generate a probe trace over one directed link pair.
-[[nodiscard]] std::vector<ProbeSample> generate_trace(const LinkTraceConfig& config);
 
 /// Pair a WAN delay trace's forward and reverse OWD series into probe
 /// samples, as an ideal prober with synchronized clocks would observe them:

@@ -1,6 +1,7 @@
 #include "log/index_log.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace domino::log {
@@ -30,6 +31,11 @@ void IndexLog::commit(std::uint64_t index, std::optional<sm::Command> command) {
 }
 
 void IndexLog::skip(std::uint64_t lo, std::uint64_t hi) {
+  // The skip set is keyed by int64: a larger index would wrap negative and
+  // store an inverted interval.
+  if (hi > static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max())) {
+    throw std::out_of_range("IndexLog::skip: index beyond int64 range");
+  }
   if (lo > hi) return;
   skips_.insert(static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi));
 }

@@ -31,7 +31,8 @@ class IndexLog {
   /// `command` is provided (commit-before-accept, e.g. a late learner).
   void commit(std::uint64_t index, std::optional<sm::Command> command = std::nullopt);
 
-  /// Mark [lo, hi] as skipped (committed no-ops).
+  /// Mark [lo, hi] as skipped (committed no-ops). Empty when lo > hi.
+  /// Throws std::out_of_range when hi exceeds the int64 range.
   void skip(std::uint64_t lo, std::uint64_t hi);
 
   [[nodiscard]] bool is_skipped(std::uint64_t index) const {

@@ -57,7 +57,7 @@ class Proxy : public rpc::Node {
   Proxy(NodeId id, std::size_t dc, net::Network& network, std::vector<NodeId> replicas,
         ProberConfig config = {}, sim::LocalClock clock = sim::LocalClock{});
 
-  void start() { prober_.start(); }
+  void start() override { prober_.start(); }
 
   [[nodiscard]] const Prober& prober() const { return prober_; }
   [[nodiscard]] std::uint64_t queries_served() const { return queries_served_; }

@@ -6,20 +6,13 @@
 #include <utility>
 
 #include "mencius/messages.h"
-#include "recovery/messages.h"
 
 namespace domino::mencius {
-
-namespace {
-/// Catch-up request retransmit interval for a recovering replica.
-constexpr Duration kCatchupRetryInterval = milliseconds(100);
-}  // namespace
 
 Replica::Replica(NodeId id, std::size_t dc, net::Network& network,
                  std::vector<NodeId> replicas, Duration heartbeat_interval,
                  sim::LocalClock clock)
-    : rpc::Node(id, dc, network, clock),
-      replicas_(std::move(replicas)),
+    : rpc::ReplicaBase(id, dc, network, std::move(replicas), clock),
       heartbeat_interval_(heartbeat_interval),
       skip_frontier_seen_(replicas_.size(), 0) {
   const auto it = std::find(replicas_.begin(), replicas_.end(), id);
@@ -76,14 +69,8 @@ void Replica::on_packet(const net::Packet& packet) {
   }
 }
 
-void Replica::enable_durability(recovery::DurableStore& store) {
-  persistor_.bind(store, id(), [this](Duration delay, std::function<void()> fn) {
-    after(delay, std::move(fn));
-  });
-}
-
 void Replica::handle_client_request(const net::Packet& packet) {
-  if (catching_up_) return;  // not rejoined yet; the client's retry will land
+  if (catching_up()) return;  // not rejoined yet; the client's retry will land
   const auto req = wire::decode_message<ClientRequest>(packet.payload);
   const std::uint64_t p = next_own_index_;
   next_own_index_ = p + replicas_.size();
@@ -264,30 +251,21 @@ void Replica::advance_own_lane(std::uint64_t index) {
   }
 }
 
-void Replica::restart() {
-  persistor_.begin_restart();
+void Replica::wipe_volatile() {
   for (auto& [index, span] : quorum_spans_) {
     (void)index;
     close_wait_span(span);
   }
   quorum_spans_.clear();
   log_ = log::IndexLog{};
-  store_ = sm::KvStore{};
   pending_.clear();
   owned_request_.clear();
   next_own_index_ = rank_;
   skip_frontier_seen_.assign(replicas_.size(), 0);
   owned_proposals_ = 0;
-  catching_up_ = true;
-  recovery_started_at_ = true_now();
-  if (obs_sink().tracing()) {
-    obs_sink().record(obs::TraceEvent{
-        .at = true_now(),
-        .kind = obs::EventKind::kRecoveryStart,
-        .node = id(),
-        .value = static_cast<std::int64_t>(persistor_.epoch())});
-  }
+}
 
+void Replica::rebuild_from_durable() {
   persistor_.replay([this](const recovery::DurableRecord& rec) {
     wire::ByteReader r(rec.body);
     switch (rec.tag) {
@@ -348,55 +326,23 @@ void Replica::restart() {
       }
     }
   }
-  send_catchup_requests();
 }
 
-void Replica::send_catchup_requests() {
-  if (!catching_up_) return;
-  if (replicas_.size() <= 1) {
-    finish_rejoin();
-    return;
-  }
-  const recovery::CatchupRequest req{persistor_.epoch(), store_.applied_count()};
-  for (NodeId r : replicas_) {
-    if (r != id()) send(r, req);
-  }
-  after(kCatchupRetryInterval, [this, epoch = persistor_.epoch()] {
-    if (catching_up_ && epoch == persistor_.epoch()) send_catchup_requests();
-  });
-}
-
-void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) {
-  // Always served, even mid-catch-up, so simultaneous recoveries converge.
-  const auto req = wire::decode_message<recovery::CatchupRequest>(payload);
-  recovery::CatchupReply reply;
-  reply.epoch = req.epoch;
-  reply.applied = store_.applied_count();
+void Replica::fill_catchup_reply(recovery::CatchupReply& reply) {
   reply.frontier = static_cast<std::int64_t>(log_.execution_frontier());
-  reply.snapshot.reserve(store_.items().size());
-  for (const auto& [key, value] : store_.items()) {
-    reply.snapshot.push_back(recovery::KvEntry{key, value});
-  }
   for (auto& [index, command] : log_.committed_unexecuted()) {
     reply.entries.push_back(recovery::CatchupEntry{
         static_cast<std::int64_t>(index), 0, std::move(command), {}});
   }
-  send(from, reply);
 }
 
-void Replica::handle_catchup_reply(const wire::Payload& payload) {
-  const auto msg = wire::decode_message<recovery::CatchupReply>(payload);
-  if (msg.epoch != persistor_.epoch()) return;  // reply to an older incarnation
+void Replica::merge_catchup_reply(const recovery::CatchupReply& msg, std::size_t bytes) {
   if (msg.frontier > static_cast<std::int64_t>(log_.execution_frontier())) {
-    std::unordered_map<std::string, std::string> items;
-    items.reserve(msg.snapshot.size());
-    for (const auto& e : msg.snapshot) items.emplace(e.key, e.value);
-    store_.install_snapshot(std::move(items), msg.applied);
+    install_snapshot(msg, bytes);
     log_.fast_forward(static_cast<std::uint64_t>(msg.frontier));
     next_own_index_ = std::max(
         next_own_index_,
         next_owned_at_or_after(rank_, static_cast<std::uint64_t>(msg.frontier)));
-    persistor_.note_catchup_install(payload.size(), true_now() - recovery_started_at_);
     // Own instances the snapshot covers were executed cluster-wide: their
     // clients can be answered now; log execution will never reach them.
     for (auto it = owned_request_.begin(); it != owned_request_.end();) {
@@ -414,27 +360,13 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
     log_.commit(static_cast<std::uint64_t>(e.pos), e.command);
   }
   execute_ready();
-  finish_rejoin();
-}
-
-void Replica::finish_rejoin() {
-  if (!catching_up_) return;
-  catching_up_ = false;
-  const Duration took = true_now() - recovery_started_at_;
-  persistor_.note_rejoin(took);
-  if (obs_sink().tracing()) {
-    obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                      .kind = obs::EventKind::kRecoveryDone,
-                                      .node = id(),
-                                      .value = took.nanos()});
-  }
 }
 
 void Replica::execute_ready() {
   for (auto& [index, command] : log_.drain_executable()) {
     store_.apply(command);
     obs_executed_.inc();
-    if (exec_hook_) exec_hook_(command.id, true_now());
+    notify_executed(command.id);
     const auto it = owned_request_.find(index);
     if (it != owned_request_.end()) {
       send(it->second.client, ClientReply{it->second});

@@ -10,51 +10,38 @@
 // instance executes at the owner.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <unordered_map>
 #include <vector>
 
 #include "log/index_log.h"
 #include "measure/quorum.h"
-#include "recovery/durable.h"
-#include "rpc/node.h"
-#include "statemachine/kvstore.h"
+#include "rpc/replica_base.h"
 
 namespace domino::mencius {
 
-class Replica : public rpc::Node {
+class Replica : public rpc::ReplicaBase {
  public:
-  using ExecuteHook = std::function<void(const RequestId&, TimePoint)>;
-
   Replica(NodeId id, std::size_t dc, net::Network& network, std::vector<NodeId> replicas,
           Duration heartbeat_interval = milliseconds(10),
           sim::LocalClock clock = sim::LocalClock{});
 
   /// Start heartbeats; call after attach().
-  void start();
-
-  void set_execute_hook(ExecuteHook hook) { exec_hook_ = std::move(hook); }
-
-  /// Bind simulated durable storage: promises (accepts, commit knowledge)
-  /// are persisted before the replies that externalize them, and the
-  /// replica survives an amnesiac restart().
-  void enable_durability(recovery::DurableStore& store);
-
-  /// Amnesiac restart: wipe volatile state, replay the durable image
-  /// (rebuilding the own-lane reservation and pending retransmission
-  /// state), and catch up from live peers.
-  void restart();
-
-  [[nodiscard]] bool catching_up() const { return catching_up_; }
+  void start() override;
 
   [[nodiscard]] std::size_t rank() const { return rank_; }
   [[nodiscard]] const log::IndexLog& log() const { return log_; }
-  [[nodiscard]] const sm::KvStore& store() const { return store_; }
   [[nodiscard]] std::uint64_t owned_proposals() const { return owned_proposals_; }
 
  protected:
   void on_packet(const net::Packet& packet) override;
+
+  // Crash recovery (rpc::ReplicaBase hooks). Replay rebuilds the own-lane
+  // reservation and the pending retransmission state.
+  void wipe_volatile() override;
+  void rebuild_from_durable() override;
+  void fill_catchup_reply(recovery::CatchupReply& reply) override;
+  void merge_catchup_reply(const recovery::CatchupReply& msg, std::size_t bytes) override;
 
  private:
   [[nodiscard]] std::size_t owner_of(std::uint64_t index) const {
@@ -70,10 +57,6 @@ class Replica : public rpc::Node {
   void handle_commit(NodeId from, const wire::Payload& payload);
   void handle_commit_ack(NodeId from, const wire::Payload& payload);
   void handle_skip(NodeId from, const wire::Payload& payload);
-  void handle_catchup_request(NodeId from, const wire::Payload& payload);
-  void handle_catchup_reply(const wire::Payload& payload);
-  void send_catchup_requests();
-  void finish_rejoin();
 
   /// The largest own-lane frontier that is safe to advertise to `peer`:
   /// every used owned instance below it has been acknowledged by that peer
@@ -99,21 +82,13 @@ class Replica : public rpc::Node {
   /// fault-free runs never retransmit.
   static constexpr Duration kAcceptRetransmitAfter = milliseconds(400);
 
-  std::vector<NodeId> replicas_;
   std::size_t rank_ = 0;
   Duration heartbeat_interval_;
   log::IndexLog log_;
-  sm::KvStore store_;
-  ExecuteHook exec_hook_;
   rpc::RepeatingTimer heartbeat_;
 
   std::uint64_t next_own_index_ = 0;  // smallest unused owned instance
   std::vector<std::uint64_t> skip_frontier_seen_;  // per owner rank
-
-  // Crash recovery.
-  recovery::Persistor persistor_;
-  bool catching_up_ = false;
-  TimePoint recovery_started_at_ = TimePoint::epoch();
 
   // Owner-side pending instances: index -> (ack set, origin client). The
   // ack set (rather than a count) makes Accept retransmission safe: a

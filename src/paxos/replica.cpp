@@ -5,18 +5,12 @@
 #include <utility>
 
 #include "paxos/messages.h"
-#include "recovery/messages.h"
 
 namespace domino::paxos {
 
-namespace {
-/// Catch-up request retransmit interval for a recovering replica.
-constexpr Duration kCatchupRetryInterval = milliseconds(100);
-}  // namespace
-
 Replica::Replica(NodeId id, std::size_t dc, net::Network& network,
                  std::vector<NodeId> replicas, NodeId leader, sim::LocalClock clock)
-    : rpc::Node(id, dc, network, clock), replicas_(std::move(replicas)), leader_(leader) {
+    : rpc::ReplicaBase(id, dc, network, std::move(replicas), clock), leader_(leader) {
   obs_accepts_ = obs_sink().counter("paxos.accepts");
   obs_commits_ = obs_sink().counter("paxos.commits");
   obs_executed_ = obs_sink().counter("paxos.executed");
@@ -47,15 +41,9 @@ void Replica::on_packet(const net::Packet& packet) {
   }
 }
 
-void Replica::enable_durability(recovery::DurableStore& store) {
-  persistor_.bind(store, id(), [this](Duration delay, std::function<void()> fn) {
-    after(delay, std::move(fn));
-  });
-}
-
 void Replica::handle_client_request(const net::Packet& packet) {
   if (!is_leader()) return;  // clients are configured to talk to the leader only
-  if (catching_up_) return;  // not rejoined yet; the client's retry will land
+  if (catching_up()) return;  // not rejoined yet; the client's retry will land
   const auto req = wire::decode_message<ClientRequest>(packet.payload);
   const std::uint64_t index = next_index_++;
   log_.accept(index, req.command);
@@ -170,29 +158,20 @@ void Replica::handle_commit(const wire::Payload& payload) {
   execute_ready();
 }
 
-void Replica::restart() {
-  persistor_.begin_restart();
+void Replica::wipe_volatile() {
   for (auto& [index, span] : quorum_spans_) {
     (void)index;
     close_wait_span(span);
   }
   quorum_spans_.clear();
   log_ = log::IndexLog{};
-  store_ = sm::KvStore{};
   accept_counts_.clear();
   origin_.clear();
   next_index_ = 0;
   committed_ = 0;
-  catching_up_ = true;
-  recovery_started_at_ = true_now();
-  if (obs_sink().tracing()) {
-    obs_sink().record(obs::TraceEvent{
-        .at = true_now(),
-        .kind = obs::EventKind::kRecoveryStart,
-        .node = id(),
-        .value = static_cast<std::int64_t>(persistor_.epoch())});
-  }
+}
 
+void Replica::rebuild_from_durable() {
   persistor_.replay([this](const recovery::DurableRecord& rec) {
     wire::ByteReader r(rec.body);
     switch (rec.tag) {
@@ -234,73 +213,26 @@ void Replica::restart() {
       }
     }
   }
-  send_catchup_requests();
 }
 
-void Replica::send_catchup_requests() {
-  if (!catching_up_) return;
-  if (replicas_.size() <= 1) {
-    finish_rejoin();
-    return;
-  }
-  const recovery::CatchupRequest req{persistor_.epoch(), store_.applied_count()};
-  for (NodeId r : replicas_) {
-    if (r != id()) send(r, req);
-  }
-  after(kCatchupRetryInterval, [this, epoch = persistor_.epoch()] {
-    if (catching_up_ && epoch == persistor_.epoch()) send_catchup_requests();
-  });
-}
-
-void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) {
-  // Always served, even while this replica is itself catching up: replying
-  // with the current state keeps simultaneous recoveries from deadlocking.
-  const auto req = wire::decode_message<recovery::CatchupRequest>(payload);
-  recovery::CatchupReply reply;
-  reply.epoch = req.epoch;
-  reply.applied = store_.applied_count();
+void Replica::fill_catchup_reply(recovery::CatchupReply& reply) {
   reply.frontier = static_cast<std::int64_t>(log_.execution_frontier());
-  reply.snapshot.reserve(store_.items().size());
-  for (const auto& [key, value] : store_.items()) {
-    reply.snapshot.push_back(recovery::KvEntry{key, value});
-  }
   for (auto& [index, command] : log_.committed_unexecuted()) {
     reply.entries.push_back(recovery::CatchupEntry{
         static_cast<std::int64_t>(index), 0, std::move(command), {}});
   }
-  send(from, reply);
 }
 
-void Replica::handle_catchup_reply(const wire::Payload& payload) {
-  const auto msg = wire::decode_message<recovery::CatchupReply>(payload);
-  if (msg.epoch != persistor_.epoch()) return;  // reply to an older incarnation
+void Replica::merge_catchup_reply(const recovery::CatchupReply& msg, std::size_t bytes) {
   if (msg.frontier > static_cast<std::int64_t>(log_.execution_frontier())) {
-    std::unordered_map<std::string, std::string> items;
-    items.reserve(msg.snapshot.size());
-    for (const auto& e : msg.snapshot) items.emplace(e.key, e.value);
-    store_.install_snapshot(std::move(items), msg.applied);
+    install_snapshot(msg, bytes);
     log_.fast_forward(static_cast<std::uint64_t>(msg.frontier));
-    persistor_.note_catchup_install(payload.size(), true_now() - recovery_started_at_);
   }
   for (const auto& e : msg.entries) {
     if (e.pos < static_cast<std::int64_t>(log_.execution_frontier())) continue;
     log_.commit(static_cast<std::uint64_t>(e.pos), e.command);
   }
   execute_ready();
-  finish_rejoin();
-}
-
-void Replica::finish_rejoin() {
-  if (!catching_up_) return;
-  catching_up_ = false;
-  const Duration took = true_now() - recovery_started_at_;
-  persistor_.note_rejoin(took);
-  if (obs_sink().tracing()) {
-    obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                      .kind = obs::EventKind::kRecoveryDone,
-                                      .node = id(),
-                                      .value = took.nanos()});
-  }
 }
 
 void Replica::execute_ready() {
@@ -308,7 +240,7 @@ void Replica::execute_ready() {
     (void)index;
     store_.apply(command);
     obs_executed_.inc();
-    if (exec_hook_) exec_hook_(command.id, true_now());
+    notify_executed(command.id);
   }
 }
 

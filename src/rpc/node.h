@@ -41,6 +41,10 @@ class Node {
   /// derived classes are fully built before packets can arrive).
   void attach();
 
+  /// Start the node's periodic activity (heartbeats, probing). Call once,
+  /// after attach(). The default does nothing, for nodes without timers.
+  virtual void start() {}
+
   [[nodiscard]] NodeId id() const { return id_; }
   [[nodiscard]] std::size_t dc() const { return dc_; }
 

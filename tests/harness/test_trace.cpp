@@ -2,44 +2,63 @@
 
 #include <gtest/gtest.h>
 
+#include "wan/generator.h"
+
 namespace domino::harness {
 namespace {
 
-LinkTraceConfig quiet_link() {
-  LinkTraceConfig c;
-  c.rtt = milliseconds(67);
-  c.spike_prob = 0.0;
-  c.duration = seconds(30);
-  return c;
-}
+/// A synthetic directed link pair: one wan::TraceGenerator series per
+/// direction (forward base = rtt * forward_share, reverse base = the rest),
+/// paired into probe samples as a prober with the given remote clock offset
+/// would observe them.
+struct SyntheticLink {
+  Duration rtt = milliseconds(67);
+  double forward_share = 0.5;
+  Duration remote_clock_offset = Duration::zero();
+  double spike_prob = 0.0;
+  Duration spike_mean = milliseconds(8);
+  Duration duration = seconds(30);
+  std::uint64_t seed = 1;
+
+  [[nodiscard]] std::vector<ProbeSample> probes() const {
+    wan::GeneratorConfig fwd;
+    fwd.base = scale(rtt, forward_share);
+    fwd.duration = duration;
+    fwd.spike_prob = spike_prob;
+    fwd.spike_mean = spike_mean;
+    fwd.seed = 2 * seed;
+    wan::GeneratorConfig rev = fwd;
+    rev.base = rtt - fwd.base;
+    rev.seed = 2 * seed + 1;
+    return probe_samples_from_wan(wan::TraceGenerator(fwd).generate(),
+                                  wan::TraceGenerator(rev).generate(), remote_clock_offset);
+  }
+};
 
 TEST(TraceGenerator, ProducesExpectedSampleCount) {
-  LinkTraceConfig c = quiet_link();
-  c.probe_interval = milliseconds(10);
-  c.duration = seconds(1);
-  EXPECT_EQ(generate_trace(c).size(), 100u);
+  SyntheticLink link;
+  link.duration = seconds(1);
+  EXPECT_EQ(link.probes().size(), 100u);  // default 10 ms sample interval
 }
 
 TEST(TraceGenerator, RttNearNominal) {
-  const auto trace = generate_trace(quiet_link());
-  for (const auto& s : trace) {
+  for (const auto& s : SyntheticLink{}.probes()) {
     EXPECT_GE(s.rtt, milliseconds(67));
     EXPECT_LT(s.rtt, milliseconds(80));  // jitter is small vs the floor
   }
 }
 
 TEST(TraceGenerator, SymmetricPathHalfRttIsGoodOwd) {
-  const auto trace = generate_trace(quiet_link());
-  for (const auto& s : trace) {
+  for (const auto& s : SyntheticLink{}.probes()) {
     // forward share 0.5, no skew: measured OWD ~ rtt/2.
     EXPECT_NEAR(s.owd_measured.millis(), s.rtt.millis() / 2, 3.0);
   }
 }
 
 TEST(TraceGenerator, AsymmetryShiftsOwd) {
-  LinkTraceConfig c = quiet_link();
-  c.forward_share = 0.7;
-  const auto trace = generate_trace(c);
+  SyntheticLink link;
+  link.forward_share = 0.7;
+  const auto trace = link.probes();
   double avg = 0;
   for (const auto& s : trace) avg += s.owd_measured.millis();
   avg /= static_cast<double>(trace.size());
@@ -47,17 +66,16 @@ TEST(TraceGenerator, AsymmetryShiftsOwd) {
 }
 
 TEST(TraceGenerator, ClockOffsetFoldsIntoMeasuredOwd) {
-  LinkTraceConfig c = quiet_link();
-  c.remote_clock_offset = milliseconds(500);
-  const auto trace = generate_trace(c);
-  for (const auto& s : trace) {
+  SyntheticLink link;
+  link.remote_clock_offset = milliseconds(500);
+  for (const auto& s : link.probes()) {
     EXPECT_GT(s.owd_measured, milliseconds(500));
   }
 }
 
 TEST(TraceGenerator, DeterministicPerSeed) {
-  const auto a = generate_trace(quiet_link());
-  const auto b = generate_trace(quiet_link());
+  const auto a = SyntheticLink{}.probes();
+  const auto b = SyntheticLink{}.probes();
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(a[17].rtt, b[17].rtt);
 }
@@ -65,16 +83,15 @@ TEST(TraceGenerator, DeterministicPerSeed) {
 TEST(Prediction, HighPercentilePredictsWell) {
   // Matches Figure 3's top-right region: p95 with a 1 s window on a stable
   // link predicts correctly ~95% of the time.
-  const auto trace = generate_trace(quiet_link());
-  const auto outcome =
-      evaluate_predictions(trace, OwdEstimator::kReplicaTimestamp, seconds(1), 95.0);
+  const auto outcome = evaluate_predictions(SyntheticLink{}.probes(),
+                                            OwdEstimator::kReplicaTimestamp, seconds(1), 95.0);
   EXPECT_GT(outcome.correct_rate, 0.88);
   EXPECT_GT(outcome.evaluated, 1000u);
 }
 
 TEST(Prediction, LowPercentilePredictsPoorly) {
   // Figure 3's left side: low percentiles under-predict most arrivals.
-  const auto trace = generate_trace(quiet_link());
+  const auto trace = SyntheticLink{}.probes();
   const auto p5 =
       evaluate_predictions(trace, OwdEstimator::kReplicaTimestamp, seconds(1), 5.0);
   const auto p95 =
@@ -86,9 +103,9 @@ TEST(Prediction, HalfRttFailsUnderAsymmetry) {
   // The Table 2 vs Table 3 effect: with disjoint forward/reverse paths the
   // half-RTT estimator mispredicts by roughly the asymmetry, while the
   // replica-timestamp estimator stays accurate.
-  LinkTraceConfig c = quiet_link();
-  c.forward_share = 0.75;  // forward path carries 75% of the RTT
-  const auto trace = generate_trace(c);
+  SyntheticLink link;
+  link.forward_share = 0.75;  // forward path carries 75% of the RTT
+  const auto trace = link.probes();
   const auto half =
       evaluate_predictions(trace, OwdEstimator::kHalfRtt, seconds(1), 95.0);
   const auto owd =
@@ -100,9 +117,9 @@ TEST(Prediction, HalfRttFailsUnderAsymmetry) {
 }
 
 TEST(Prediction, HalfRttFailsUnderClockSkew) {
-  LinkTraceConfig c = quiet_link();
-  c.remote_clock_offset = milliseconds(30);
-  const auto trace = generate_trace(c);
+  SyntheticLink link;
+  link.remote_clock_offset = milliseconds(30);
+  const auto trace = link.probes();
   const auto half =
       evaluate_predictions(trace, OwdEstimator::kHalfRtt, seconds(1), 95.0);
   const auto owd =
@@ -113,12 +130,11 @@ TEST(Prediction, HalfRttFailsUnderClockSkew) {
 }
 
 TEST(Prediction, SpikesCauseBoundedMispredictions) {
-  LinkTraceConfig c = quiet_link();
-  c.spike_prob = 0.01;
-  c.spike_mean = milliseconds(10);
-  const auto trace = generate_trace(c);
+  SyntheticLink link;
+  link.spike_prob = 0.01;
+  link.spike_mean = milliseconds(10);
   const auto outcome =
-      evaluate_predictions(trace, OwdEstimator::kReplicaTimestamp, seconds(1), 95.0);
+      evaluate_predictions(link.probes(), OwdEstimator::kReplicaTimestamp, seconds(1), 95.0);
   EXPECT_GT(outcome.correct_rate, 0.85);
   EXPECT_GT(outcome.p99_misprediction_ms, 0.0);
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 namespace domino::log {
 namespace {
 
@@ -44,6 +47,21 @@ TEST(IndexLog, SkipsUnblockExecution) {
   ASSERT_EQ(execd.size(), 1u);
   EXPECT_EQ(execd[0].first, 5u);
   EXPECT_EQ(log.execution_frontier(), 6u);
+}
+
+TEST(IndexLog, SkipRejectsIndicesBeyondInt64) {
+  IndexLog log;
+  EXPECT_THROW(log.skip(0, std::uint64_t{1} << 63), std::out_of_range);
+  EXPECT_THROW(log.skip(0, std::numeric_limits<std::uint64_t>::max()), std::out_of_range);
+  // Nothing was stored: no inverted interval, no skipped position.
+  EXPECT_EQ(log.skip_interval_count(), 0u);
+  EXPECT_FALSE(log.is_skipped(0));
+  // The largest representable range is fine.
+  constexpr auto kMax = static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+  log.skip(0, kMax);
+  EXPECT_TRUE(log.is_skipped(0));
+  EXPECT_TRUE(log.is_skipped(kMax));
+  EXPECT_EQ(log.skip_interval_count(), 1u);
 }
 
 TEST(IndexLog, CommitWithCommandCreatesEntry) {
