@@ -10,6 +10,7 @@
 #   scripts/check.sh --recovery   # crash-recovery suite (ctest -L recovery), sanitized
 #   scripts/check.sh --timeline   # windowed-telemetry/SLO suite (ctest -L timeline), sanitized
 #   scripts/check.sh --wan        # WAN delay-trace suite (ctest -L wan), sanitized
+#   scripts/check.sh --hotpath    # message hot-path suite (ctest -L hotpath), sanitized
 #   scripts/check.sh --bench-baseline [--record]
 #                                 # run the regression-gate bench and compare it
 #                                 # against scripts/baselines/BENCH_gate.json
@@ -41,6 +42,10 @@
 #             models, non-stationary generators and the calibration-under-
 #             drift acceptance run; smoke-runs scripts/trace_stats.py on the
 #             checked-in fixtures under bench/traces/.
+#   --hotpath allocation-free message path: the zero-allocation budget per
+#             round trip, the event-queue differential ordering test and
+#             the FIFO channel reset; ASan+UBSan flags use-after-free in
+#             recycled encode buffers and reused slab slots.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -56,10 +61,11 @@ declare -A modes=(
   [--recovery]="build-asan:1:recovery:recovery"
   [--timeline]="build-asan:1:timeline:timeline"
   [--wan]="build-asan:1:wan:wan"
+  [--hotpath]="build-asan:1:hotpath:"
 )
 
 usage() {
-  sed -n '2,43p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,48p' "$0" | sed 's/^# \{0,1\}//'
   exit 2
 }
 
@@ -152,9 +158,9 @@ case "${1:-}" in
   --all)
     shift
     # Full plain suite first, then every sanitized gate (one build-asan
-    # configure+build serves all six labelled suites).
+    # configure+build serves all seven labelled suites).
     run_mode --default "$@"
-    for gate in --chaos --trace --predict --recovery --timeline --wan; do run_mode "$gate" "$@"; done
+    for gate in --chaos --trace --predict --recovery --timeline --wan --hotpath; do run_mode "$gate" "$@"; done
     exit 0
     ;;
   --bench-baseline)

@@ -1,5 +1,6 @@
 #include "net/network.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -90,12 +91,12 @@ void Network::count_drop(DropReason reason, NodeId src, NodeId dst, std::size_t 
 }
 
 void Network::reset_channels_of(NodeId id) {
-  for (auto it = channel_last_delivery_.begin(); it != channel_last_delivery_.end();) {
-    if (it->first.src == id || it->first.dst == id) {
-      it = channel_last_delivery_.erase(it);
-    } else {
-      ++it;
-    }
+  auto it = nodes_.find(id);
+  if (it == nodes_.end()) return;
+  NodeInfo& node = it->second;
+  std::fill(node.channel_last.begin(), node.channel_last.end(), TimePoint{});
+  for (NodeInfo* src : node_by_slot_) {
+    if (node.slot < src->channel_last.size()) src->channel_last[node.slot] = TimePoint{};
   }
 }
 
@@ -104,8 +105,9 @@ void Network::register_node(NodeId id, std::size_t dc, Receiver receiver) {
   if (nodes_.contains(id)) throw std::invalid_argument("Network: duplicate node id");
   NodeInfo ni;
   ni.dc = dc;
+  ni.slot = static_cast<std::uint32_t>(node_by_slot_.size());
   ni.receiver = std::move(receiver);
-  nodes_.emplace(id, std::move(ni));
+  node_by_slot_.push_back(&nodes_.emplace(id, std::move(ni)).first->second);
 }
 
 Network::NodeInfo& Network::info(NodeId id) {
@@ -138,6 +140,7 @@ void Network::send(NodeId src, NodeId dst, wire::Payload payload) {
   if (const DropReason reason = fault_.drop_reason(src, s.dc, dst, d.dc);
       reason != DropReason::kNone) {
     count_drop(reason, src, dst, bytes);
+    wire::recycle(std::move(payload));
     return;
   }
 
@@ -164,7 +167,8 @@ void Network::send(NodeId src, NodeId dst, wire::Payload payload) {
 
   // FIFO channel: never deliver before (or at the same instant as) an
   // earlier packet on this (src, dst) channel.
-  TimePoint& last = channel_last_delivery_[ChannelKey{src, dst}];
+  if (d.slot >= s.channel_last.size()) s.channel_last.resize(d.slot + 1);
+  TimePoint& last = s.channel_last[d.slot];
   if (arrival <= last) arrival = last + nanoseconds(1);
   last = arrival;
 
@@ -194,32 +198,51 @@ void Network::send(NodeId src, NodeId dst, wire::Payload payload) {
     }
   }
 
-  sim_.schedule_at(deliver_at,
-                   [this, pkt = Packet{src, dst, now, std::move(payload)}, dst,
-                    src_dc = s.dc, dst_dc = d.dc, bytes]() mutable {
-                     // Re-check at delivery: a crash or partition that began
-                     // while the packet was in flight still loses it.
-                     if (const DropReason reason =
-                             fault_.drop_reason(pkt.src, src_dc, dst, dst_dc);
-                         reason != DropReason::kNone) {
-                       count_drop(reason, pkt.src, dst, bytes);
-                       return;
-                     }
-                     if (obs_.tracing()) {
-                       obs_.record(obs::TraceEvent{
-                           .at = sim_.now(),
-                           .kind = obs::EventKind::kMessageDeliver,
-                           .node = dst,
-                           .peer = pkt.src,
-                           .msg_type =
-                               static_cast<std::uint16_t>(wire::peek_type(pkt.payload)),
-                           .value = (sim_.now() - pkt.sent_at).nanos()});
-                     }
-                     auto it = nodes_.find(dst);
-                     if (it != nodes_.end() && it->second.receiver) {
-                       it->second.receiver(pkt);
-                     }
-                   });
+  std::uint32_t slot;
+  if (free_in_flight_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    slot = free_in_flight_.back();
+    free_in_flight_.pop_back();
+  }
+  InFlight& f = in_flight_[slot];
+  f.packet = Packet{src, dst, now, std::move(payload)};
+  f.src_dc = s.dc;
+  f.to = &d;
+  f.bytes = bytes;
+  sim_.schedule_at(deliver_at, [this, slot] { deliver(slot); });
+}
+
+void Network::deliver(std::uint32_t slot) {
+  // Take the packet out before running the receiver: its sends may grow
+  // the slab (moving every InFlight) and reuse this slot.
+  InFlight& f = in_flight_[slot];
+  Packet pkt = std::move(f.packet);
+  const std::size_t src_dc = f.src_dc;
+  const std::size_t bytes = f.bytes;
+  NodeInfo& to = *f.to;
+  free_in_flight_.push_back(slot);
+
+  // Re-check at delivery: a crash or partition that began while the packet
+  // was in flight still loses it.
+  if (const DropReason reason = fault_.drop_reason(pkt.src, src_dc, pkt.dst, to.dc);
+      reason != DropReason::kNone) {
+    count_drop(reason, pkt.src, pkt.dst, bytes);
+    wire::recycle(std::move(pkt.payload));
+    return;
+  }
+  if (obs_.tracing()) {
+    obs_.record(obs::TraceEvent{
+        .at = sim_.now(),
+        .kind = obs::EventKind::kMessageDeliver,
+        .node = pkt.dst,
+        .peer = pkt.src,
+        .msg_type = static_cast<std::uint16_t>(wire::peek_type(pkt.payload)),
+        .value = (sim_.now() - pkt.sent_at).nanos()});
+  }
+  if (to.receiver) to.receiver(pkt);
+  wire::recycle(std::move(pkt.payload));
 }
 
 }  // namespace domino::net

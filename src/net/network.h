@@ -6,7 +6,11 @@
 //   - one LatencyModel + RNG stream per directed datacenter pair,
 //   - per node-pair FIFO channels (a message never overtakes an earlier
 //     message on the same (src, dst) channel — the TCP ordering Domino
-//     requires, Section 5.1),
+//     requires, Section 5.1), kept as one row per source indexed by the
+//     destination's registration slot,
+//   - the in-flight packets, held in a slab with a free list so a send
+//     schedules an event that captures only {this, slot} (inline in
+//     std::function, no heap block per packet),
 //   - optional capacity modelling: per-node receive service time (CPU cost
 //     per message) and egress bandwidth, used by the peak-throughput
 //     experiment (Figure 13),
@@ -15,8 +19,8 @@
 //     route changes.
 #pragma once
 
+#include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -40,6 +44,10 @@ inline constexpr std::size_t kFrameOverheadBytes = 64;
 
 class Network {
  public:
+  /// Packet handler of a registered node. The Packet (and its payload) is
+  /// valid only for the duration of the call: once the receiver returns,
+  /// the payload buffer goes back to wire::recycle for the next encode.
+  /// A receiver that needs the bytes later must copy them.
   using Receiver = std::function<void(const Packet&)>;
 
   Network(sim::Simulator& simulator, Topology topology, std::uint64_t seed);
@@ -63,7 +71,8 @@ class Network {
   [[nodiscard]] LatencyModel& link_model(std::size_t from_dc, std::size_t to_dc);
 
   /// Register a node in a datacenter. The receiver is invoked (through the
-  /// simulator) when a packet is delivered.
+  /// simulator) when a packet is delivered; see Receiver for the lifetime
+  /// of the packet it is handed.
   void register_node(NodeId id, std::size_t dc, Receiver receiver);
 
   [[nodiscard]] std::size_t dc_of(NodeId id) const;
@@ -121,19 +130,23 @@ class Network {
  private:
   struct NodeInfo {
     std::size_t dc = 0;
+    std::uint32_t slot = 0;  // registration order; the FIFO column index
     Receiver receiver;
     Duration rx_service = Duration::zero();  // per-message processing time
     double egress_bps = 0.0;                 // 0 = unlimited
     TimePoint rx_busy_until = TimePoint::epoch();
     TimePoint tx_busy_until = TimePoint::epoch();
+    /// FIFO row: last delivery time on the channel to the node registered
+    /// at each slot (grown on first send to that slot; epoch = no history).
+    std::vector<TimePoint> channel_last;
   };
 
-  struct ChannelKey {
-    NodeId src, dst;
-    bool operator<(const ChannelKey& o) const {
-      if (src != o.src) return src < o.src;
-      return dst < o.dst;
-    }
+  /// A packet between send and delivery, parked in the in-flight slab.
+  struct InFlight {
+    Packet packet;
+    std::size_t src_dc = 0;
+    NodeInfo* to = nullptr;  // unordered_map nodes never move
+    std::size_t bytes = 0;
   };
 
   struct LinkObs {
@@ -145,9 +158,12 @@ class Network {
   NodeInfo& info(NodeId id);
   [[nodiscard]] const NodeInfo& info(NodeId id) const;
   void count_drop(DropReason reason, NodeId src, NodeId dst, std::size_t bytes);
-  /// Forget FIFO delivery state on every channel touching `id` (called on
-  /// recovery; pre-crash deliveries must not delay post-recovery traffic).
+  /// Forget FIFO delivery state on every channel touching `id` — its row
+  /// and its column (called on recovery; pre-crash deliveries must not
+  /// delay post-recovery traffic).
   void reset_channels_of(NodeId id);
+  /// Deliver (or drop) the in-flight packet at `slot` and free the slot.
+  void deliver(std::uint32_t slot);
 
   sim::Simulator& sim_;
   Topology topology_;
@@ -155,7 +171,9 @@ class Network {
   std::vector<std::vector<std::unique_ptr<LatencyModel>>> links_;  // [from][to]
   std::vector<std::vector<Rng>> link_rngs_;
   std::unordered_map<NodeId, NodeInfo> nodes_;
-  std::map<ChannelKey, TimePoint> channel_last_delivery_;
+  std::vector<NodeInfo*> node_by_slot_;
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_in_flight_;
   FaultInjector fault_;
 
   std::uint64_t packets_sent_ = 0;

@@ -62,23 +62,17 @@ void Persistor::bind(DurableStore& store, NodeId node, Scheduler scheduler) {
   scheduler_ = std::move(scheduler);
 }
 
-void Persistor::persist(RecordTag tag, const BodyFn& body, std::function<void()> then) {
-  if (store_ == nullptr) {
-    then();
-    return;
-  }
-  wire::Payload record = body();
+bool Persistor::append(RecordTag tag, wire::Payload record) {
   store_->obs_persist_records_.inc();
   store_->obs_persist_bytes_.inc(record.size() + 1);
   store_->log_of(node_).append(tag, std::move(record));
-  const Duration sync = store_->config().sync_latency;
-  if (sync <= Duration::zero() || !scheduler_) {
-    then();
-    return;
-  }
+  return store_->config().sync_latency <= Duration::zero() || !scheduler_;
+}
+
+void Persistor::defer(std::function<void()> then) {
   // The record is on disk only after the sync completes: defer the
   // externalizing continuation, and cancel it if the node restarts first.
-  scheduler_(sync, [this, epoch = epoch_, fn = std::move(then)] {
+  scheduler_(store_->config().sync_latency, [this, epoch = epoch_, fn = std::move(then)] {
     if (epoch == epoch_) fn();
   });
 }

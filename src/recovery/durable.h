@@ -139,7 +139,6 @@ class DurableStore {
 class Persistor {
  public:
   using Scheduler = std::function<void(Duration, std::function<void()>)>;
-  using BodyFn = std::function<wire::Payload()>;
 
   Persistor() = default;
 
@@ -152,15 +151,31 @@ class Persistor {
     return store_ == nullptr ? Duration::zero() : store_->config().sync_latency;
   }
 
-  /// Append the record produced by `body` under `tag`, then run `then`
-  /// once the simulated sync completes. Disabled: `then` runs inline and
-  /// `body` is never invoked. The continuation is cancelled if the node
-  /// restarts during the sync window (the send was never externalized).
-  void persist(RecordTag tag, const BodyFn& body, std::function<void()> then);
+  /// Append the record produced by `body()` (a wire::Payload) under `tag`,
+  /// then run `then()` once the simulated sync completes. Unbound: `then`
+  /// runs inline, `body` is never invoked and nothing is type-erased, so
+  /// the durability-off path costs no allocation. Bound: the record is
+  /// appended now and, when the sync takes time, `then` is type-erased
+  /// once into the deferred continuation. The continuation is cancelled if
+  /// the node restarts during the sync window (the send was never
+  /// externalized).
+  template <typename Body, typename Then>
+  void persist(RecordTag tag, Body&& body, Then&& then) {
+    if (store_ == nullptr) {
+      then();
+      return;
+    }
+    if (append(tag, std::forward<Body>(body)())) {
+      then();
+      return;
+    }
+    defer(std::function<void()>(std::forward<Then>(then)));
+  }
 
   /// Fire-and-forget persist (no externalization gated on it).
-  void persist(RecordTag tag, const BodyFn& body) {
-    persist(tag, body, [] {});
+  template <typename Body>
+  void persist(RecordTag tag, Body&& body) {
+    persist(tag, std::forward<Body>(body), [] {});
   }
 
   /// Restart epoch: bumped by begin_restart(); stale sync continuations and
@@ -186,6 +201,12 @@ class Persistor {
   }
 
  private:
+  /// Bound slow path: append `record` to this node's log. Returns true when
+  /// the write is durable at once (zero sync latency or no scheduler).
+  bool append(RecordTag tag, wire::Payload record);
+  /// Run `then` after the sync latency unless the node restarts first.
+  void defer(std::function<void()> then);
+
   DurableStore* store_ = nullptr;
   NodeId node_;
   Scheduler scheduler_;

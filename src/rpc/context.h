@@ -36,6 +36,7 @@ class Context {
 
   /// Bind `receiver` as the packet handler for node `id`. `dc` is the
   /// datacenter placement; transports without a placement concept ignore it.
+  /// The packet handed to `receiver` is valid only during the call.
   virtual void register_node(NodeId id, std::size_t dc, Receiver receiver) = 0;
 
   /// The observability sink nodes on this transport should report into.

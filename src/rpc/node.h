@@ -86,7 +86,8 @@ class Node {
 
  protected:
   /// Called (on the transport's thread / in virtual time) for every
-  /// delivered packet.
+  /// delivered packet. The packet is valid only during the call: the
+  /// simulated transport recycles its payload buffer afterwards.
   virtual void on_packet(const net::Packet& packet) = 0;
 
   /// The span context outgoing messages are stamped with. Set automatically

@@ -13,7 +13,16 @@ void Simulator::bind_obs(const obs::Sink& sink) {
 
 void Simulator::schedule_at(TimePoint at, Action action) {
   if (at < now_) at = now_;
-  queue_.push(Event{at, next_seq_++, std::move(action)});
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(actions_.size());
+    actions_.push_back(std::move(action));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    actions_[slot] = std::move(action);
+  }
+  queue_.push(Key{at, next_seq_++, slot});
   obs_scheduled_.inc();
   obs_queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
 }
@@ -25,15 +34,17 @@ void Simulator::schedule_after(Duration delay, Action action) {
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  // priority_queue::top returns const&; move out via const_cast is UB-free
-  // here because we pop immediately and Event's members are not const.
-  Event ev = std::move(const_cast<Event&>(queue_.top()));
+  const Key key = queue_.top();
   queue_.pop();
-  now_ = ev.at;
+  // Move the action out before running it: it may schedule events, which
+  // can grow the slab or reuse this slot.
+  Action action = std::move(actions_[key.slot]);
+  free_slots_.push_back(key.slot);
+  now_ = key.at;
   ++executed_;
   obs_executed_.inc();
   obs_queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
-  ev.action();
+  action();
   return true;
 }
 

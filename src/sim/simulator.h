@@ -4,6 +4,11 @@
 // is expressed as events on one global virtual-time queue. Events scheduled
 // for the same instant fire in scheduling order (a monotonic tie-break
 // counter), so a run is exactly reproducible from its RNG seed.
+//
+// The queue is a binary heap of 24-byte keys {at, seq, slot}; the actions
+// themselves sit in a slab with a free list, so pushing, sifting and
+// popping move only trivially-copyable keys and a steady-state run reuses
+// action slots instead of allocating.
 #pragma once
 
 #include <cstdint>
@@ -51,13 +56,16 @@ class Simulator {
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
 
  private:
-  struct Event {
+  /// Heap entry: firing time, tie-break sequence, and the slab slot of the
+  /// action.
+  struct Key {
     TimePoint at;
     std::uint64_t seq;
-    Action action;
+    std::uint32_t slot;
   };
+  static_assert(sizeof(Key) == 24, "heap keys stay three words");
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.at != b.at) return a.at > b.at;
       return a.seq > b.seq;
     }
@@ -66,7 +74,9 @@ class Simulator {
   TimePoint now_ = TimePoint::epoch();
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::priority_queue<Key, std::vector<Key>, Later> queue_;
+  std::vector<Action> actions_;             // slab, indexed by Key::slot
+  std::vector<std::uint32_t> free_slots_;  // empty slab entries
 
   obs::CounterHandle obs_executed_;
   obs::CounterHandle obs_scheduled_;

@@ -2,6 +2,52 @@
 
 namespace domino::wire {
 
+namespace {
+
+// Free-list bounds (constants, not knobs): enough buffers to cover the
+// in-flight packets of a 5-replica Globe run between two recycles, and a
+// capacity ceiling so a large catch-up snapshot is not hoarded.
+constexpr std::size_t kRecycledBuffers = 4096;
+constexpr std::size_t kRecycledCapacity = 1024;
+
+// Capacity a ByteWriter reserves when the free list is empty: one
+// allocation covers every fixed-size protocol message with 8 B keys.
+constexpr std::size_t kInitialWriterCapacity = 64;
+
+/// Cleared payloads awaiting reuse. Per thread: the simulator is single-
+/// threaded, and real transports encode on their own threads.
+std::vector<Payload>& free_buffers() {
+  thread_local std::vector<Payload> list = [] {
+    std::vector<Payload> v;
+    v.reserve(kRecycledBuffers);
+    return v;
+  }();
+  return list;
+}
+
+}  // namespace
+
+void recycle(Payload&& payload) {
+  const std::size_t capacity = payload.capacity();
+  if (capacity == 0 || capacity > kRecycledCapacity) return;
+  std::vector<Payload>& list = free_buffers();
+  if (list.size() >= kRecycledBuffers) return;
+  payload.clear();
+  list.push_back(std::move(payload));
+}
+
+ByteWriter::ByteWriter() {
+  std::vector<Payload>& list = free_buffers();
+  if (list.empty()) {
+    buf_.reserve(kInitialWriterCapacity);
+  } else {
+    buf_ = std::move(list.back());
+    list.pop_back();
+  }
+}
+
+ByteWriter::~ByteWriter() { recycle(std::move(buf_)); }
+
 void ByteWriter::u16(std::uint16_t v) {
   buf_.push_back(static_cast<std::uint8_t>(v));
   buf_.push_back(static_cast<std::uint8_t>(v >> 8));
@@ -49,7 +95,8 @@ void ByteWriter::ballot(const Ballot& b) {
 }
 
 void ByteReader::need(std::size_t n) const {
-  if (pos_ + n > data_.size()) throw WireError("ByteReader: truncated input");
+  // Compare against what is left: pos_ + n wraps for a hostile length.
+  if (n > data_.size() - pos_) throw WireError("ByteReader: truncated input");
 }
 
 std::uint8_t ByteReader::u8() {
@@ -87,7 +134,9 @@ std::uint64_t ByteReader::varint() {
   for (;;) {
     need(1);
     const std::uint8_t byte = data_[pos_++];
-    if (shift >= 64) throw WireError("ByteReader: varint overflow");
+    // The 10th byte may carry only bit 63: a larger value (or a further
+    // continuation) does not fit in 64 bits.
+    if (shift == 63 && byte > 1) throw WireError("ByteReader: varint overflow");
     v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) break;
     shift += 7;

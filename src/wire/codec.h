@@ -29,8 +29,22 @@ class WireError : public std::runtime_error {
 
 using Payload = std::vector<std::uint8_t>;
 
+/// Return an encode buffer to this thread's free list so the next
+/// ByteWriter reuses its capacity instead of allocating. The list is
+/// bounded (a fixed number of buffers, each of bounded capacity); a buffer
+/// beyond the bounds, or without capacity, is simply freed. Passing any
+/// Payload is safe: it is cleared before it is handed out again.
+void recycle(Payload&& payload);
+
 class ByteWriter {
  public:
+  /// Starts from a recycled buffer (see recycle()) when one is available.
+  ByteWriter();
+  /// A writer destroyed without take() recycles its buffer.
+  ~ByteWriter();
+  ByteWriter(const ByteWriter&) = delete;
+  ByteWriter& operator=(const ByteWriter&) = delete;
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
@@ -53,6 +67,7 @@ class ByteWriter {
   void duration(Duration d) { svarint(d.nanos()); }
 
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
+  /// Hand the encoded bytes to the caller; the writer is empty afterwards.
   [[nodiscard]] Payload take() { return std::move(buf_); }
   [[nodiscard]] const Payload& buffer() const { return buf_; }
 

@@ -131,6 +131,59 @@ TEST(Codec, OverlongVarintThrows) {
   EXPECT_THROW(r.varint(), WireError);
 }
 
+// A 10-byte varint carries only bit 63 in its last byte; a larger 10th byte
+// would be silently truncated (FF x9 7F read as UINT64_MAX, 2^64 as 0).
+TEST(Codec, VarintTenthByteAboveOneThrows) {
+  Payload all_ones(9, 0xFF);
+  all_ones.push_back(0x7F);
+  ByteReader r1{all_ones};
+  EXPECT_THROW(r1.varint(), WireError);
+
+  Payload two_to_64(9, 0x80);  // 2^64: bit 64 set, every lower bit clear
+  two_to_64.push_back(0x02);
+  ByteReader r2{two_to_64};
+  EXPECT_THROW(r2.varint(), WireError);
+}
+
+TEST(Codec, VarintTenthByteOneDecodesMax) {
+  Payload p(9, 0xFF);
+  p.push_back(0x01);
+  ByteReader r{p};
+  EXPECT_EQ(r.varint(), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_TRUE(r.exhausted());
+}
+
+// A length of 2^64 - 1 after a consumed byte made `pos + n` wrap past the
+// bounds check, escaping as std::length_error instead of WireError.
+Payload huge_length_after_one_byte() {
+  ByteWriter w;
+  w.u8(7);
+  w.varint(std::numeric_limits<std::uint64_t>::max());
+  w.u8(0);
+  return w.take();
+}
+
+TEST(Codec, HugeStringLengthThrowsWireError) {
+  const Payload p = huge_length_after_one_byte();
+  ByteReader r{p};
+  r.u8();
+  EXPECT_THROW(r.str(), WireError);
+}
+
+TEST(Codec, HugeBytesLengthThrowsWireError) {
+  const Payload p = huge_length_after_one_byte();
+  ByteReader r{p};
+  r.u8();
+  EXPECT_THROW(r.bytes(), WireError);
+}
+
+TEST(Codec, RecycledBufferStartsEmpty) {
+  recycle(Payload{9, 9, 9});
+  ByteWriter w;
+  w.u8(1);
+  EXPECT_EQ(w.take(), (Payload{1}));
+}
+
 TEST(Codec, ExpectExhaustedThrowsOnTrailing) {
   ByteWriter w;
   w.u8(1);
