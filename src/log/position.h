@@ -17,8 +17,6 @@
 #include <cstdint>
 #include <string>
 
-#include "wire/codec.h"
-
 namespace domino::log {
 
 struct LogPosition {
@@ -29,17 +27,6 @@ struct LogPosition {
 
   [[nodiscard]] std::string to_string() const {
     return "(" + std::to_string(ts) + ",lane" + std::to_string(lane) + ")";
-  }
-
-  void encode(wire::ByteWriter& w) const {
-    w.svarint(ts);
-    w.varint(lane);
-  }
-  static LogPosition decode(wire::ByteReader& r) {
-    LogPosition p;
-    p.ts = r.svarint();
-    p.lane = static_cast<std::uint32_t>(r.varint());
-    return p;
   }
 };
 

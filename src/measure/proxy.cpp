@@ -2,34 +2,6 @@
 
 namespace domino::measure {
 
-void ProxyReport::encode(wire::ByteWriter& w) const {
-  w.u64(static_cast<std::uint64_t>(percentile * 100));
-  w.varint(entries.size());
-  for (const Entry& e : entries) {
-    w.node_id(e.replica);
-    w.duration(e.rtt);
-    w.duration(e.owd);
-    w.duration(e.replication_latency);
-    w.boolean(e.failed);
-    w.boolean(e.stale);
-  }
-}
-
-ProxyReport ProxyReport::decode(wire::ByteReader& r) {
-  ProxyReport report;
-  report.percentile = static_cast<double>(r.u64()) / 100.0;
-  report.entries.resize(r.length_prefix(8));
-  for (Entry& e : report.entries) {
-    e.replica = r.node_id();
-    e.rtt = r.duration();
-    e.owd = r.duration();
-    e.replication_latency = r.duration();
-    e.failed = r.boolean();
-    e.stale = r.boolean();
-  }
-  return report;
-}
-
 Proxy::Proxy(NodeId id, std::size_t dc, net::Network& network, std::vector<NodeId> replicas,
              ProberConfig config, sim::LocalClock clock)
     : rpc::Node(id, dc, network, clock),

@@ -84,16 +84,6 @@ void ByteWriter::bytes(std::span<const std::uint8_t> data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
 }
 
-void ByteWriter::request_id(const RequestId& id) {
-  node_id(id.client);
-  varint(id.seq);
-}
-
-void ByteWriter::ballot(const Ballot& b) {
-  varint(b.round);
-  node_id(b.node);
-}
-
 void ByteReader::need(std::size_t n) const {
   // Compare against what is left: pos_ + n wraps for a hostile length.
   if (n > data_.size() - pos_) throw WireError("ByteReader: truncated input");
@@ -173,20 +163,6 @@ Payload ByteReader::bytes() {
             data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
   pos_ += n;
   return p;
-}
-
-RequestId ByteReader::request_id() {
-  RequestId id;
-  id.client = node_id();
-  id.seq = varint();
-  return id;
-}
-
-Ballot ByteReader::ballot() {
-  Ballot b;
-  b.round = static_cast<std::uint32_t>(varint());
-  b.node = node_id();
-  return b;
 }
 
 void ByteReader::expect_exhausted() const {

@@ -4,7 +4,9 @@
 // crossing the simulated network and parsed on receipt, mirroring what a
 // gRPC/protobuf deployment would do. The codec is a compact hand-rolled
 // format: little-endian fixed integers, LEB128 varints, zig-zag signed
-// varints, and length-prefixed strings.
+// varints, and length-prefixed strings. Messages do not call these
+// primitives themselves: wire/fields.h maps each struct's field list onto
+// them.
 //
 // Decoding is defensive: all reads are bounds-checked and malformed input
 // raises WireError rather than reading out of bounds.
@@ -18,7 +20,6 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "common/time.h"
 
 namespace domino::wire {
 
@@ -61,10 +62,6 @@ class ByteWriter {
   void bytes(std::span<const std::uint8_t> data);
 
   void node_id(NodeId id) { u32(id.value()); }
-  void request_id(const RequestId& id);
-  void ballot(const Ballot& b);
-  void time_point(TimePoint t) { svarint(t.nanos()); }
-  void duration(Duration d) { svarint(d.nanos()); }
 
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   /// Hand the encoded bytes to the caller; the writer is empty afterwards.
@@ -95,10 +92,6 @@ class ByteReader {
   Payload bytes();
 
   NodeId node_id() { return NodeId{u32()}; }
-  RequestId request_id();
-  Ballot ballot();
-  TimePoint time_point() { return TimePoint{svarint()}; }
-  Duration duration() { return Duration{svarint()}; }
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }

@@ -8,7 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "wire/codec.h"
+#include "wire/fields.h"
 
 namespace domino::wire {
 
@@ -23,7 +23,6 @@ enum class MessageType : std::uint16_t {
   kPaxosAcceptReply = 12,
   kPaxosCommit = 13,
   kPaxosClientReply = 14,
-  kPaxosExecuted = 15,
 
   // Mencius (src/mencius)
   kMenciusClientRequest = 20,
@@ -32,7 +31,6 @@ enum class MessageType : std::uint16_t {
   kMenciusCommit = 23,
   kMenciusSkip = 24,
   kMenciusClientReply = 25,
-  kMenciusExecuted = 26,
   kMenciusCommitAck = 27,
 
   // EPaxos (src/epaxos)
@@ -43,7 +41,6 @@ enum class MessageType : std::uint16_t {
   kEpaxosAcceptReply = 34,
   kEpaxosCommit = 35,
   kEpaxosClientReply = 36,
-  kEpaxosExecuted = 37,
 
   // Classic Fast Paxos (src/fastpaxos)
   kFastPaxosClientRequest = 40,
@@ -52,7 +49,6 @@ enum class MessageType : std::uint16_t {
   kFastPaxosRecoveryReply = 43,
   kFastPaxosCommit = 44,
   kFastPaxosClientReply = 45,
-  kFastPaxosExecuted = 46,
 
   // Domino (src/core)
   kDfpPropose = 50,
@@ -67,7 +63,6 @@ enum class MessageType : std::uint16_t {
   kDmAcceptReply = 59,
   kDmCommit = 60,
   kDmClientReply = 61,
-  kDominoExecuted = 62,
 
   // Measurement proxy (paper Section 5.6's probe-traffic reduction)
   kProxyQuery = 65,
@@ -97,14 +92,12 @@ enum class MessageType : std::uint16_t {
     case MessageType::kPaxosAcceptReply: return "PaxosAcceptReply";
     case MessageType::kPaxosCommit: return "PaxosCommit";
     case MessageType::kPaxosClientReply: return "PaxosClientReply";
-    case MessageType::kPaxosExecuted: return "PaxosExecuted";
     case MessageType::kMenciusClientRequest: return "MenciusClientRequest";
     case MessageType::kMenciusAccept: return "MenciusAccept";
     case MessageType::kMenciusAcceptReply: return "MenciusAcceptReply";
     case MessageType::kMenciusCommit: return "MenciusCommit";
     case MessageType::kMenciusSkip: return "MenciusSkip";
     case MessageType::kMenciusClientReply: return "MenciusClientReply";
-    case MessageType::kMenciusExecuted: return "MenciusExecuted";
     case MessageType::kMenciusCommitAck: return "MenciusCommitAck";
     case MessageType::kEpaxosClientRequest: return "EpaxosClientRequest";
     case MessageType::kEpaxosPreAccept: return "EpaxosPreAccept";
@@ -113,14 +106,12 @@ enum class MessageType : std::uint16_t {
     case MessageType::kEpaxosAcceptReply: return "EpaxosAcceptReply";
     case MessageType::kEpaxosCommit: return "EpaxosCommit";
     case MessageType::kEpaxosClientReply: return "EpaxosClientReply";
-    case MessageType::kEpaxosExecuted: return "EpaxosExecuted";
     case MessageType::kFastPaxosClientRequest: return "FastPaxosClientRequest";
     case MessageType::kFastPaxosAcceptNotice: return "FastPaxosAcceptNotice";
     case MessageType::kFastPaxosRecoveryAccept: return "FastPaxosRecoveryAccept";
     case MessageType::kFastPaxosRecoveryReply: return "FastPaxosRecoveryReply";
     case MessageType::kFastPaxosCommit: return "FastPaxosCommit";
     case MessageType::kFastPaxosClientReply: return "FastPaxosClientReply";
-    case MessageType::kFastPaxosExecuted: return "FastPaxosExecuted";
     case MessageType::kDfpPropose: return "DfpPropose";
     case MessageType::kDfpAcceptNotice: return "DfpAcceptNotice";
     case MessageType::kDfpCommit: return "DfpCommit";
@@ -133,7 +124,6 @@ enum class MessageType : std::uint16_t {
     case MessageType::kDmAcceptReply: return "DmAcceptReply";
     case MessageType::kDmCommit: return "DmCommit";
     case MessageType::kDmClientReply: return "DmClientReply";
-    case MessageType::kDominoExecuted: return "DominoExecuted";
     case MessageType::kProxyQuery: return "ProxyQuery";
     case MessageType::kProxyReport: return "ProxyReport";
     case MessageType::kDmRevoke: return "DmRevoke";
@@ -166,13 +156,13 @@ struct TraceContextWire {
   [[nodiscard]] constexpr bool valid() const { return trace_id != 0 && span_id != 0; }
 };
 
-/// Serialize a message struct (anything with `kType` and `encode`) into an
-/// envelope payload.
+/// Serialize a message struct (anything with `kType` and `fields`, see
+/// wire/fields.h) into an envelope payload.
 template <typename M>
 [[nodiscard]] Payload encode_message(const M& msg) {
   ByteWriter w;
   w.u16(static_cast<std::uint16_t>(M::kType));
-  msg.encode(w);
+  write_field(w, msg);
   return w.take();
 }
 
@@ -186,7 +176,7 @@ template <typename M>
   w.u16(static_cast<std::uint16_t>(M::kType) | kTraceContextFlag);
   w.varint(ctx.trace_id);
   w.varint(ctx.span_id);
-  msg.encode(w);
+  write_field(w, msg);
   return w.take();
 }
 
@@ -220,7 +210,8 @@ template <typename M>
     (void)r.varint();  // trace id
     (void)r.varint();  // span id
   }
-  M msg = M::decode(r);
+  M msg;
+  read_field(r, msg);
   r.expect_exhausted();
   return msg;
 }

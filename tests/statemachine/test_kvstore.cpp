@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "wire/fields.h"
+
 namespace domino::sm {
 namespace {
 
@@ -49,11 +51,7 @@ TEST(Command, ConflictSemantics) {
 
 TEST(Command, WireRoundTrip) {
   const Command c = cmd(7, "key00001", "val00002");
-  wire::ByteWriter w;
-  c.encode(w);
-  const wire::Payload p = w.take();
-  wire::ByteReader r{p};
-  EXPECT_EQ(Command::decode(r), c);
+  EXPECT_EQ(wire::decode<Command>(wire::encode(c)), c);
 }
 
 }  // namespace

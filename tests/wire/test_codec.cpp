@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/rng.h"
+#include "wire/fields.h"
 
 namespace domino::wire {
 namespace {
@@ -86,20 +87,29 @@ TEST(Codec, BytesRoundTrip) {
 
 TEST(Codec, DomainTypesRoundTrip) {
   ByteWriter w;
-  w.node_id(NodeId{42});
-  w.request_id(RequestId{NodeId{7}, 999});
-  w.ballot(Ballot{3, NodeId{1}});
-  w.time_point(TimePoint::epoch() + milliseconds(123));
-  w.duration(milliseconds(-55));
-  w.boolean(true);
+  write_field(w, NodeId{42});
+  write_field(w, RequestId{NodeId{7}, 999});
+  write_field(w, TimePoint::epoch() + milliseconds(123));
+  write_field(w, milliseconds(-55));
+  write_field(w, true);
   const Payload p = w.take();
   ByteReader r{p};
-  EXPECT_EQ(r.node_id(), NodeId{42});
-  EXPECT_EQ(r.request_id(), (RequestId{NodeId{7}, 999}));
-  EXPECT_EQ(r.ballot(), (Ballot{3, NodeId{1}}));
-  EXPECT_EQ(r.time_point(), TimePoint::epoch() + milliseconds(123));
-  EXPECT_EQ(r.duration(), milliseconds(-55));
-  EXPECT_TRUE(r.boolean());
+  NodeId node;
+  RequestId request;
+  TimePoint at;
+  Duration d;
+  bool flag = false;
+  read_field(r, node);
+  read_field(r, request);
+  read_field(r, at);
+  read_field(r, d);
+  read_field(r, flag);
+  EXPECT_EQ(node, NodeId{42});
+  EXPECT_EQ(request, (RequestId{NodeId{7}, 999}));
+  EXPECT_EQ(at, TimePoint::epoch() + milliseconds(123));
+  EXPECT_EQ(d, milliseconds(-55));
+  EXPECT_TRUE(flag);
+  EXPECT_TRUE(r.exhausted());
 }
 
 TEST(Codec, TruncatedInputThrows) {

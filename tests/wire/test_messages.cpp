@@ -185,15 +185,5 @@ TEST(DominoMessages, DmRoundTrip) {
   EXPECT_EQ(round_trip(core::DmClientReply{test_command().id}).request, test_command().id);
 }
 
-TEST(LogPosition, EncodeDecode) {
-  wire::ByteWriter w;
-  log::LogPosition{-5, 3}.encode(w);
-  const wire::Payload p = w.take();
-  wire::ByteReader r{p};
-  const auto pos = log::LogPosition::decode(r);
-  EXPECT_EQ(pos.ts, -5);
-  EXPECT_EQ(pos.lane, 3u);
-}
-
 }  // namespace
 }  // namespace domino
