@@ -43,9 +43,11 @@
 #             drift acceptance run; smoke-runs scripts/trace_stats.py on the
 #             checked-in fixtures under bench/traces/.
 #   --hotpath allocation-free message path: the zero-allocation budget per
-#             round trip, the event-queue differential ordering test and
-#             the FIFO channel reset; ASan+UBSan flags use-after-free in
-#             recycled encode buffers and reused slab slots.
+#             round trip, the event-queue differential ordering test, the
+#             FIFO channel reset and the wire suite (every-type codec fuzz,
+#             golden bytes); ASan+UBSan flags use-after-free in recycled
+#             encode buffers and reused slab slots, and out-of-bounds reads
+#             on hostile input.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
