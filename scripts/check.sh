@@ -44,10 +44,11 @@
 #             checked-in fixtures under bench/traces/.
 #   --hotpath allocation-free message path: the zero-allocation budget per
 #             round trip, the event-queue differential ordering test, the
-#             FIFO channel reset and the wire suite (every-type codec fuzz,
-#             golden bytes); ASan+UBSan flags use-after-free in recycled
-#             encode buffers and reused slab slots, and out-of-bounds reads
-#             on hostile input.
+#             FIFO channel reset, the wire suite (every-type codec fuzz,
+#             golden bytes) and the rpc suite; ASan+UBSan flags
+#             use-after-free in recycled encode buffers, reused slab slots
+#             and client request records erased mid-call, and out-of-bounds
+#             reads on hostile input.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -67,7 +68,7 @@ declare -A modes=(
 )
 
 usage() {
-  sed -n '2,48p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,51p' "$0" | sed 's/^# \{0,1\}//'
   exit 2
 }
 

@@ -406,9 +406,7 @@ void Replica::coordinator_check(std::int64_t ts) {
 void Replica::start_dfp_recovery(std::int64_t ts) {
   DfpPosition& pos = dfp_positions_[ts];
   pos.recovering = true;
-  if (const obs::SpanId s = open_wait_span("dfp_recovery"); s != 0) {
-    dfp_recovery_spans_[ts] = s;
-  }
+  if (const obs::SpanId s = open_wait_span("dfp_recovery"); s != 0) pos.recovery_span = s;
   // Ballot-1 choice: the most-accepted proposal if it is still choosable,
   // else no-op. The choosability threshold is q - f accepts: below it, a
   // supermajority of replicas must have no-op'd the position, so learners
@@ -466,11 +464,8 @@ void Replica::resolve_dfp(std::int64_t ts, bool is_noop, const sm::Command& comm
                           bool was_fast) {
   DfpPosition& pos = dfp_positions_[ts];
   pos.resolved = true;
-  const auto rspan_it = dfp_recovery_spans_.find(ts);
-  if (rspan_it != dfp_recovery_spans_.end()) {
-    close_wait_span(rspan_it->second);
-    dfp_recovery_spans_.erase(rspan_it);
-  }
+  close_wait_span(pos.recovery_span);
+  pos.recovery_span = 0;
 
   const log::LogPosition lp{ts, dfp_lane()};
   if (!is_noop) {
@@ -589,10 +584,8 @@ void Replica::dm_lead(const sm::Command& command, bool reply_via_dfp) {
   const log::LogPosition pos{ts, static_cast<std::uint32_t>(rank_)};
   log_.accept(pos, command);
   watermark_holds_.insert(ts);  // released once the DmAccepts leave
-  dm_pending_.emplace(ts, DmPending{1, command.id, reply_via_dfp});
-  if (const obs::SpanId s = open_wait_span("dm_quorum_wait"); s != 0) {
-    dm_quorum_spans_[ts] = s;
-  }
+  dm_pending_.emplace(ts, DmPending{1, command.id, reply_via_dfp,
+                                    open_wait_span("dm_quorum_wait")});
 
   // The accept record doubles as the timestamp reservation: replay raises
   // dm_last_assigned_ past it, so a restarted leader can never re-assign a
@@ -648,11 +641,7 @@ void Replica::maybe_commit_dm(std::int64_t ts) {
   if (it->second.acks < measure::majority(replicas_.size())) return;
   const DmPending pending = it->second;
   dm_pending_.erase(it);
-  const auto span_it = dm_quorum_spans_.find(ts);
-  if (span_it != dm_quorum_spans_.end()) {
-    close_wait_span(span_it->second);
-    dm_quorum_spans_.erase(span_it);
-  }
+  close_wait_span(pending.wait_span);
 
   log_.commit(log::LogPosition{ts, static_cast<std::uint32_t>(rank_)});
   ++dm_commits_;
@@ -939,6 +928,7 @@ void Replica::try_finalize_dfp_range() {
         reroute_via_dm(t.command);
       }
     }
+    close_wait_span(pos.recovery_span);
     it = dfp_positions_.erase(it);
   }
   commit_frontier_ = std::max(commit_frontier_, round.to);
@@ -976,16 +966,14 @@ void Replica::apply_dfp_range_resolve(const DfpRangeResolve& resolve) {
 // ---------------------------------------------------------- crash recovery
 
 void Replica::wipe_volatile() {
-  for (auto& [ts, span] : dm_quorum_spans_) {
+  for (const auto& [ts, pending] : dm_pending_) {
     (void)ts;
-    close_wait_span(span);
+    close_wait_span(pending.wait_span);
   }
-  dm_quorum_spans_.clear();
-  for (auto& [ts, span] : dfp_recovery_spans_) {
+  for (const auto& [ts, pos] : dfp_positions_) {
     (void)ts;
-    close_wait_span(span);
+    close_wait_span(pos.recovery_span);
   }
-  dfp_recovery_spans_.clear();
   log_ = log::GlobalLog(replicas_.size() + 1);
   dfp_positions_.clear();
   std::fill(replica_watermarks_.begin(), replica_watermarks_.end(), TimePoint::epoch());
@@ -1080,7 +1068,7 @@ void Replica::rebuild_from_durable() {
       continue;
     }
     if (const obs::SpanId s = open_wait_span("dm_quorum_wait"); s != 0) {
-      dm_quorum_spans_[ts] = s;
+      dm_pending_.at(ts).wait_span = s;
     }
     const DmAccept msg{ts, static_cast<std::uint32_t>(rank_), e->command};
     for (NodeId r : replicas_) {
@@ -1156,11 +1144,9 @@ void Replica::merge_catchup_reply(const recovery::CatchupReply& msg, std::size_t
     } else if (e.lane == rank_) {
       // Committed on our lane by someone else (a revocation while we were
       // down): nothing left to replicate.
-      dm_pending_.erase(e.pos);
-      const auto span_it = dm_quorum_spans_.find(e.pos);
-      if (span_it != dm_quorum_spans_.end()) {
-        close_wait_span(span_it->second);
-        dm_quorum_spans_.erase(span_it);
+      if (const auto it = dm_pending_.find(e.pos); it != dm_pending_.end()) {
+        close_wait_span(it->second.wait_span);
+        dm_pending_.erase(it);
       }
     }
   }
@@ -1204,7 +1190,12 @@ void Replica::broadcast_heartbeat() {
     // Garbage-collect resolved positions behind the frontier.
     for (auto it = dfp_positions_.begin();
          it != dfp_positions_.end() && it->first < commit_frontier_;) {
-      it = it->second.resolved ? dfp_positions_.erase(it) : std::next(it);
+      if (it->second.resolved) {
+        close_wait_span(it->second.recovery_span);
+        it = dfp_positions_.erase(it);
+      } else {
+        ++it;
+      }
     }
   }
   for (NodeId r : replicas_) {

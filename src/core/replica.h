@@ -179,6 +179,7 @@ class Replica : public rpc::ReplicaBase {
     std::size_t recovery_acks = 0;
     std::optional<DfpCommit> recovery_choice;
     bool timer_armed = false;
+    obs::SpanId recovery_span = 0;  // recovery wait until resolved (0 = none)
   };
   std::map<std::int64_t, DfpPosition> dfp_positions_;  // ordered by timestamp
   std::vector<TimePoint> replica_watermarks_;          // per rank, coordinator view
@@ -190,10 +191,9 @@ class Replica : public rpc::ReplicaBase {
     std::size_t acks = 1;  // self
     RequestId request;
     bool reply_via_dfp = false;  // reply with DfpClientReply (re-routed request)
+    obs::SpanId wait_span = 0;   // quorum wait until commit (0 = none)
   };
   std::unordered_map<std::int64_t, DmPending> dm_pending_;
-  std::unordered_map<std::int64_t, obs::SpanId> dm_quorum_spans_;     // ts -> wait span
-  std::unordered_map<std::int64_t, obs::SpanId> dfp_recovery_spans_;  // ts -> wait span
   std::int64_t dm_last_assigned_ = 0;
   std::unordered_set<RequestId> rerouted_;  // requests re-proposed through DM
 

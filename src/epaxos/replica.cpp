@@ -121,15 +121,12 @@ void Replica::handle_client_request(const net::Packet& packet) {
   const auto req = wire::decode_message<ClientRequest>(packet.payload);
   const InstanceId inst{id(), next_instance_++};
   auto [seq, deps] = attributes_for(req.command, inst);
-  instances_[inst] = Instance{req.command, seq, deps, Status::kPreAccepted};
+  instances_[inst] = Instance{req.command, seq, deps, Status::kPreAccepted,
+                              open_wait_span("epaxos_quorum_wait")};
   LeaderBook book;
   book.seq = seq;
   book.deps = deps;
-  book.client = req.command.id.client;
   leading_[inst] = std::move(book);
-  if (const obs::SpanId s = open_wait_span("epaxos_quorum_wait"); s != 0) {
-    quorum_spans_[inst] = s;
-  }
 
   const sm::Command command = req.command;
   persistor_.persist(
@@ -213,7 +210,6 @@ void Replica::handle_preaccept_reply(NodeId from, const wire::Payload& payload) 
     const sm::Command command = inst.command;
     const std::uint64_t seq = book.seq;
     const DepList deps = book.deps;
-    const NodeId client = book.client;
     leading_.erase(book_it);
     persistor_.persist(
         recovery::RecordTag::kCommitted,
@@ -221,9 +217,9 @@ void Replica::handle_preaccept_reply(NodeId from, const wire::Payload& payload) 
           return instance_record(msg.instance, command, seq, deps, Status::kCommitted,
                                  NodeId::invalid());
         },
-        [this, inst_id = msg.instance, command, seq, deps, client] {
+        [this, inst_id = msg.instance, command, seq, deps] {
           commit_instance(inst_id, command, seq, deps, /*broadcast=*/true);
-          send(client, ClientReply{command.id});
+          send(command.id.client, ClientReply{command.id});
         });
     return;
   }
@@ -237,7 +233,7 @@ void Replica::handle_preaccept_reply(NodeId from, const wire::Payload& payload) 
       recovery::RecordTag::kAccepted,
       [&] {
         return instance_record(msg.instance, command, book.seq, book.deps,
-                               Status::kAccepted, book.client);
+                               Status::kAccepted, command.id.client);
       },
       [this, inst_id = msg.instance, command, seq = book.seq, deps = book.deps] {
         const Accept msg_out{inst_id, command, seq, deps};
@@ -290,7 +286,6 @@ void Replica::handle_accept_reply(NodeId from, const wire::Payload& payload) {
   const sm::Command command = inst_it->second.command;
   const std::uint64_t seq = book.seq;
   const DepList deps = book.deps;
-  const NodeId client = book.client;
   leading_.erase(book_it);
   persistor_.persist(
       recovery::RecordTag::kCommitted,
@@ -298,9 +293,9 @@ void Replica::handle_accept_reply(NodeId from, const wire::Payload& payload) {
         return instance_record(msg.instance, command, seq, deps, Status::kCommitted,
                                NodeId::invalid());
       },
-      [this, inst_id = msg.instance, command, seq, deps, client] {
+      [this, inst_id = msg.instance, command, seq, deps] {
         commit_instance(inst_id, command, seq, deps, /*broadcast=*/true);
-        send(client, ClientReply{command.id});
+        send(command.id.client, ClientReply{command.id});
       });
 }
 
@@ -315,16 +310,11 @@ void Replica::handle_commit(const wire::Payload& payload) {
 }
 
 void Replica::wipe_volatile() {
-  for (auto& [inst, span] : quorum_spans_) {
-    (void)inst;
-    close_wait_span(span);
+  for (const auto& [inst_id, inst] : instances_) {
+    (void)inst_id;
+    close_wait_span(inst.quorum_span);
+    close_wait_span(inst.dep_span);
   }
-  quorum_spans_.clear();
-  for (auto& [inst, span] : dep_spans_) {
-    (void)inst;
-    close_wait_span(span);
-  }
-  dep_spans_.clear();
   instances_.clear();
   leading_.clear();
   key_table_.clear();
@@ -374,7 +364,6 @@ void Replica::rebuild_from_durable() {
       book.deps = std::move(deps);
       book.in_accept_phase = (status == Status::kAccepted);
       book.attributes_changed = book.in_accept_phase;
-      book.client = client;
       leading_[inst_id] = std::move(book);
     }
   });
@@ -396,7 +385,7 @@ void Replica::rebuild_from_durable() {
     book.preaccept_acks.clear();
     book.accept_acks.clear();
     if (const obs::SpanId s = open_wait_span("epaxos_quorum_wait"); s != 0) {
-      quorum_spans_[inst_id] = s;
+      it->second.quorum_span = s;
     }
     if (book.in_accept_phase) {
       const Accept msg{inst_id, it->second.command, book.seq, book.deps};
@@ -454,20 +443,13 @@ void Replica::merge_catchup_reply(const recovery::CatchupReply& msg, std::size_t
     if (installed && peer_executed) {
       // The installed snapshot already reflects this command's execution:
       // mark it executed without re-applying, and release its waiters.
-      instances_[inst_id] = Instance{e.command, seq, std::move(deps), Status::kExecuted};
-      auto w = waiters_.find(inst_id);
-      if (w != waiters_.end()) {
-        const std::vector<InstanceId> blocked = std::move(w->second);
-        waiters_.erase(w);
-        for (const auto& b : blocked) {
-          const auto dspan_it = dep_spans_.find(b);
-          if (dspan_it != dep_spans_.end()) {
-            close_wait_span(dspan_it->second);
-            dep_spans_.erase(dspan_it);
-          }
-          try_execute(b);
-        }
-      }
+      // Assigned field by field: the instance keeps its open wait spans.
+      Instance& inst = instances_[inst_id];
+      inst.command = e.command;
+      inst.seq = seq;
+      inst.deps = std::move(deps);
+      inst.status = Status::kExecuted;
+      wake_waiters(inst_id);
     } else {
       commit_instance(inst_id, e.command, seq, deps, /*broadcast=*/false);
     }
@@ -507,11 +489,8 @@ void Replica::commit_instance(const InstanceId& inst_id, const sm::Command& cmd,
   }
   ++committed_;
   obs_committed_.inc();
-  const auto qspan_it = quorum_spans_.find(inst_id);
-  if (qspan_it != quorum_spans_.end()) {
-    close_wait_span(qspan_it->second);
-    quorum_spans_.erase(qspan_it);
-  }
+  close_wait_span(it->second.quorum_span);
+  it->second.quorum_span = 0;
   if (broadcast) {
     Commit msg{inst_id, cmd, seq, deps};
     for (NodeId r : replicas_) {
@@ -519,19 +498,19 @@ void Replica::commit_instance(const InstanceId& inst_id, const sm::Command& cmd,
     }
   }
   try_execute(inst_id);
-  // Wake instances that were blocked on this commit.
+  wake_waiters(inst_id);
+}
+
+void Replica::wake_waiters(const InstanceId& inst_id) {
   auto w = waiters_.find(inst_id);
-  if (w != waiters_.end()) {
-    const std::vector<InstanceId> blocked = std::move(w->second);
-    waiters_.erase(w);
-    for (const auto& b : blocked) {
-      const auto dspan_it = dep_spans_.find(b);
-      if (dspan_it != dep_spans_.end()) {
-        close_wait_span(dspan_it->second);
-        dep_spans_.erase(dspan_it);
-      }
-      try_execute(b);
-    }
+  if (w == waiters_.end()) return;
+  const std::vector<InstanceId> blocked = std::move(w->second);
+  waiters_.erase(w);
+  for (const auto& b : blocked) {
+    Instance& waiter = instances_.at(b);
+    close_wait_span(waiter.dep_span);
+    waiter.dep_span = 0;
+    try_execute(b);
   }
 }
 
@@ -577,10 +556,8 @@ void Replica::execute_scc_from(const InstanceId& root) {
            dep_it->second.status != Status::kExecuted)) {
         // Uncommitted dependency: defer the whole attempt.
         waiters_[dep].push_back(root);
-        if (span_store() != nullptr && dep_spans_.find(root) == dep_spans_.end()) {
-          if (const obs::SpanId s = open_wait_span("epaxos_dep_wait"); s != 0) {
-            dep_spans_[root] = s;
-          }
+        if (Instance& blocked = instances_.at(root); blocked.dep_span == 0) {
+          blocked.dep_span = open_wait_span("epaxos_dep_wait");
         }
         return;
       }

@@ -63,6 +63,10 @@ class Replica : public rpc::ReplicaBase {
     std::uint64_t seq = 0;
     DepList deps;
     Status status = Status::kPreAccepted;
+    // Open wait spans (0 = none). The quorum wait outlives the LeaderBook,
+    // which is dropped at quorum, before the commit is durable.
+    obs::SpanId quorum_span = 0;  // leader quorum gather, until commit
+    obs::SpanId dep_span = 0;     // execution blocked on dependencies
   };
 
   struct LeaderBook {
@@ -74,7 +78,6 @@ class Replica : public rpc::ReplicaBase {
     std::vector<NodeId> preaccept_acks;  // repliers, self excluded
     std::vector<NodeId> accept_acks;
     bool in_accept_phase = false;
-    NodeId client;
   };
 
   void handle_client_request(const net::Packet& packet);
@@ -97,6 +100,9 @@ class Replica : public rpc::ReplicaBase {
 
   void commit_instance(const InstanceId& inst, const sm::Command& cmd, std::uint64_t seq,
                        const DepList& deps, bool broadcast);
+  /// Close the dependency waits of the instances blocked on `inst` and
+  /// retry their execution.
+  void wake_waiters(const InstanceId& inst);
   void try_execute(const InstanceId& inst);
   void execute_scc_from(const InstanceId& root);
 
@@ -106,8 +112,6 @@ class Replica : public rpc::ReplicaBase {
   std::unordered_map<std::string, std::pair<InstanceId, std::uint64_t>> key_table_;
   // Commit wakeups: uncommitted dep -> instances waiting on it.
   std::unordered_map<InstanceId, std::vector<InstanceId>> waiters_;
-  std::unordered_map<InstanceId, obs::SpanId> quorum_spans_;  // leader quorum gathers
-  std::unordered_map<InstanceId, obs::SpanId> dep_spans_;     // execution blocked on deps
 
   std::uint64_t next_instance_ = 0;
   std::uint64_t committed_ = 0;

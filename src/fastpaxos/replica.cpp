@@ -218,9 +218,7 @@ void Replica::maybe_resolve(std::uint64_t index) {
 void Replica::start_recovery(std::uint64_t index) {
   Tally& tally = tallies_[index];
   tally.recovering = true;
-  if (const obs::SpanId s = open_wait_span("fp_recovery"); s != 0) {
-    recovery_spans_[index] = s;
-  }
+  if (const obs::SpanId s = open_wait_span("fp_recovery"); s != 0) tally.recovery_span = s;
 
   // Pick the most-accepted request that is not already committed elsewhere;
   // no-op if none. (The coordinator has ballot-0 reports from everyone who
@@ -283,11 +281,8 @@ void Replica::finish_commit(std::uint64_t index, bool is_noop, const sm::Command
                             bool was_fast) {
   Tally& tally = tallies_[index];
   tally.resolved = true;
-  const auto rspan_it = recovery_spans_.find(index);
-  if (rspan_it != recovery_spans_.end()) {
-    close_wait_span(rspan_it->second);
-    recovery_spans_.erase(rspan_it);
-  }
+  close_wait_span(tally.recovery_span);
+  tally.recovery_span = 0;
   if (was_fast) {
     ++fast_commits_;
     obs_fast_.inc();
@@ -347,11 +342,10 @@ void Replica::repropose_losers(std::uint64_t index, const std::optional<RequestI
 }
 
 void Replica::wipe_volatile() {
-  for (auto& [index, span] : recovery_spans_) {
+  for (const auto& [index, tally] : tallies_) {
     (void)index;
-    close_wait_span(span);
+    close_wait_span(tally.recovery_span);
   }
-  recovery_spans_.clear();
   log_ = log::IndexLog{};
   assignment_.clear();
   next_index_ = 0;

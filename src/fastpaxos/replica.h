@@ -84,6 +84,7 @@ class Replica : public rpc::ReplicaBase {
     std::size_t recovery_acks = 0;
     std::optional<Commit> recovery_choice;
     bool timer_armed = false;
+    obs::SpanId recovery_span = 0;  // recovery wait until resolved (0 = none)
   };
   std::map<std::uint64_t, Tally> tallies_;
   /// Skipped ranges learned from peers' catch-up replies. Kept as ranges
@@ -94,7 +95,6 @@ class Replica : public rpc::ReplicaBase {
   [[nodiscard]] bool decided(std::uint64_t index, const Tally& tally) const {
     return tally.resolved || learned_skips_.contains(static_cast<std::int64_t>(index));
   }
-  std::unordered_map<std::uint64_t, obs::SpanId> recovery_spans_;  // index -> wait span
   std::unordered_map<RequestId, sm::Command> committed_requests_;
   // Requests picked by an in-flight recovery; excluded from concurrent
   // recovery choices so one request cannot be chosen at two indices.

@@ -79,11 +79,9 @@ void Replica::handle_client_request(const net::Packet& packet) {
   obs_proposals_.inc();
 
   log_.accept(p, req.command);
-  pending_.emplace(p, Pending{{}, {}, req.command, req.command.id.client, false, true_now()});
+  pending_.emplace(p, Pending{{}, {}, req.command, false, true_now(),
+                              open_wait_span("mencius_quorum_wait")});
   owned_request_.emplace(p, req.command.id);
-  if (const obs::SpanId s = open_wait_span("mencius_quorum_wait"); s != 0) {
-    quorum_spans_[p] = s;
-  }
 
   persistor_.persist(
       recovery::RecordTag::kAccepted,
@@ -134,11 +132,8 @@ void Replica::handle_accept_reply(NodeId from, const wire::Payload& payload) {
     if (acked.size() + 1 >= measure::majority(replicas_.size())) {
       it->second.committed = true;
       it->second.last_sent = true_now();
-      const auto span_it = quorum_spans_.find(msg.index);
-      if (span_it != quorum_spans_.end()) {
-        close_wait_span(span_it->second);
-        quorum_spans_.erase(span_it);
-      }
+      close_wait_span(it->second.wait_span);
+      it->second.wait_span = 0;
       log_.commit(msg.index);
       obs_commits_.inc();
       // Persist the commit decision before it is externalized — by the
@@ -234,11 +229,10 @@ void Replica::advance_own_lane(std::uint64_t index) {
 }
 
 void Replica::wipe_volatile() {
-  for (auto& [index, span] : quorum_spans_) {
+  for (const auto& [index, p] : pending_) {
     (void)index;
-    close_wait_span(span);
+    close_wait_span(p.wait_span);
   }
-  quorum_spans_.clear();
   log_ = log::IndexLog{};
   pending_.clear();
   owned_request_.clear();
@@ -255,8 +249,7 @@ void Replica::rebuild_from_durable() {
         const std::uint64_t index = r.index;
         if (r.client.has_value()) {  // own instance
           if (!log_.is_committed(index)) log_.accept(index, r.command);
-          pending_.insert_or_assign(index,
-                                    Pending{{}, {}, r.command, *r.client, false, true_now()});
+          pending_.insert_or_assign(index, Pending{{}, {}, r.command, false, true_now()});
           owned_request_.insert_or_assign(index, r.command.id);
           ++owned_proposals_;
           next_own_index_ =
@@ -327,7 +320,10 @@ void Replica::merge_catchup_reply(const recovery::CatchupReply& msg, std::size_t
     for (auto it = owned_request_.begin(); it != owned_request_.end();) {
       if (it->first < static_cast<std::uint64_t>(msg.frontier)) {
         send(it->second.client, ClientReply{it->second});
-        pending_.erase(it->first);
+        if (const auto p = pending_.find(it->first); p != pending_.end()) {
+          close_wait_span(p->second.wait_span);
+          pending_.erase(p);
+        }
         it = owned_request_.erase(it);
       } else {
         ++it;

@@ -90,20 +90,19 @@ class Replica : public rpc::ReplicaBase {
   std::uint64_t next_own_index_ = 0;  // smallest unused owned instance
   std::vector<std::uint64_t> skip_frontier_seen_;  // per owner rank
 
-  // Owner-side pending instances: index -> (ack set, origin client). The
-  // ack set (rather than a count) makes Accept retransmission safe: a
-  // follower that re-replies after a retransmit is not counted twice.
+  // Owner-side pending instances: index -> ack sets. The ack set (rather
+  // than a count) makes Accept retransmission safe: a follower that
+  // re-replies after a retransmit is not counted twice.
   struct Pending {
     std::vector<NodeId> acked;         // AcceptReply senders, self excluded
     std::vector<NodeId> commit_acked;  // CommitAck senders, self excluded
     sm::Command command;               // kept for retransmission
-    NodeId client;
     bool committed = false;
-    TimePoint last_sent;  // last (re)transmission of the Accept/Commit
+    TimePoint last_sent;        // last (re)transmission of the Accept/Commit
+    obs::SpanId wait_span = 0;  // quorum wait until commit (0 = none)
   };
   std::map<std::uint64_t, Pending> pending_;  // ordered: commit in index order
   std::unordered_map<std::uint64_t, RequestId> owned_request_;  // index -> request id
-  std::unordered_map<std::uint64_t, obs::SpanId> quorum_spans_;  // index -> open wait span
   std::uint64_t owned_proposals_ = 0;
 
   obs::CounterHandle obs_proposals_;

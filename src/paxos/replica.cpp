@@ -48,11 +48,7 @@ void Replica::handle_client_request(const net::Packet& packet) {
   const auto req = wire::decode_message<ClientRequest>(packet.payload);
   const std::uint64_t index = next_index_++;
   log_.accept(index, req.command);
-  accept_counts_[index] = 1;  // self-accept
-  origin_[index] = req.command.id.client;
-  if (const obs::SpanId s = open_wait_span("paxos_quorum_wait"); s != 0) {
-    quorum_spans_[index] = s;
-  }
+  rounds_[index] = Round{1, open_wait_span("paxos_quorum_wait")};
   const sm::Command command = req.command;
   persistor_.persist(
       recovery::RecordTag::kAccepted,
@@ -86,27 +82,17 @@ void Replica::handle_accept(NodeId from, const wire::Payload& payload) {
 void Replica::handle_accept_reply(const wire::Payload& payload) {
   if (!is_leader()) return;
   const auto msg = wire::decode_message<AcceptReply>(payload);
-  auto it = accept_counts_.find(msg.index);
-  if (it == accept_counts_.end()) return;  // already committed
-  if (++it->second < measure::majority(replicas_.size())) return;
+  auto it = rounds_.find(msg.index);
+  if (it == rounds_.end()) return;  // already committed
+  if (++it->second.acks < measure::majority(replicas_.size())) return;
 
-  accept_counts_.erase(it);
-  const auto span_it = quorum_spans_.find(msg.index);
-  if (span_it != quorum_spans_.end()) {
-    close_wait_span(span_it->second);
-    quorum_spans_.erase(span_it);
-  }
+  close_wait_span(it->second.wait_span);
+  rounds_.erase(it);
   log_.commit(msg.index);
   ++committed_;
   obs_commits_.inc();
 
   const auto* entry = log_.entry(msg.index);
-  NodeId origin = NodeId::invalid();
-  const auto origin_it = origin_.find(msg.index);
-  if (origin_it != origin_.end()) {
-    origin = origin_it->second;
-    origin_.erase(origin_it);
-  }
   if (entry != nullptr) {
     // Persist the commit decision, then reply to the client and notify
     // followers (asynchronously, i.e. the client does not wait for follower
@@ -117,8 +103,8 @@ void Replica::handle_accept_reply(const wire::Payload& payload) {
     persistor_.persist(
         recovery::RecordTag::kCommitted,
         [&] { return wire::encode(recovery::IndexEntry{index, command}); },
-        [this, index, command, origin] {
-          if (origin.valid()) send(origin, ClientReply{command.id});
+        [this, index, command] {
+          send(command.id.client, ClientReply{command.id});
           for (NodeId r : replicas_) {
             if (r != id()) send(r, Commit{index, command});
           }
@@ -141,14 +127,12 @@ void Replica::handle_commit(const wire::Payload& payload) {
 }
 
 void Replica::wipe_volatile() {
-  for (auto& [index, span] : quorum_spans_) {
+  for (const auto& [index, round] : rounds_) {
     (void)index;
-    close_wait_span(span);
+    close_wait_span(round.wait_span);
   }
-  quorum_spans_.clear();
+  rounds_.clear();
   log_ = log::IndexLog{};
-  accept_counts_.clear();
-  origin_.clear();
   next_index_ = 0;
   committed_ = 0;
 }
@@ -158,7 +142,6 @@ void Replica::rebuild_from_durable() {
     switch (rec.tag) {
       case recovery::RecordTag::kAccepted: {
         auto r = wire::decode<recovery::IndexAccept>(rec.body);
-        if (r.client.has_value()) origin_[r.index] = *r.client;
         // A later kCommitted record (or a duplicate accept from a previous
         // incarnation) may already have resolved this index.
         if (!log_.is_committed(r.index)) log_.accept(r.index, std::move(r.command));
@@ -168,7 +151,6 @@ void Replica::rebuild_from_durable() {
       case recovery::RecordTag::kCommitted: {
         auto r = wire::decode<recovery::IndexEntry>(rec.body);
         log_.commit(r.index, std::move(r.command));
-        origin_.erase(r.index);  // the client was already answered
         next_index_ = std::max(next_index_, r.index + 1);
         break;
       }
@@ -185,7 +167,7 @@ void Replica::rebuild_from_durable() {
     for (std::uint64_t index = log_.execution_frontier(); index < next_index_; ++index) {
       const auto* e = log_.entry(index);
       if (e == nullptr || e->status != log::EntryStatus::kAccepted) continue;
-      accept_counts_[index] = 1;
+      rounds_[index] = Round{};
       const Accept msg{index, e->command};
       for (NodeId r : replicas_) {
         if (r != id()) send(r, msg);

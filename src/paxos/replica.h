@@ -49,9 +49,13 @@ class Replica : public rpc::ReplicaBase {
 
   // Leader state.
   std::uint64_t next_index_ = 0;
-  std::unordered_map<std::uint64_t, std::size_t> accept_counts_;  // index -> acks (incl. self)
-  std::unordered_map<std::uint64_t, obs::SpanId> quorum_spans_;   // index -> open wait span
-  std::unordered_map<std::uint64_t, NodeId> origin_;              // index -> requesting client
+  // An index's accept round until it commits; the reply goes to the client
+  // named in the log entry's command id.
+  struct Round {
+    std::size_t acks = 1;       // accept replies, self included
+    obs::SpanId wait_span = 0;  // quorum wait (0 = none)
+  };
+  std::unordered_map<std::uint64_t, Round> rounds_;
   std::uint64_t committed_ = 0;
 
   obs::CounterHandle obs_accepts_;

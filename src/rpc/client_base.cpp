@@ -60,7 +60,8 @@ Duration ClientBase::backoff_delay(std::size_t attempt) {
 
 void ClientBase::submit(sm::Command command) {
   ++submitted_;
-  sent_at_.emplace(command.id, true_now());
+  Request& request = requests_[command.id];
+  request.sent_at = true_now();
   obs_submitted_.inc();
   if (obs_sink().tracing()) {
     obs_sink().record(obs::TraceEvent{.at = true_now(),
@@ -74,86 +75,73 @@ void ClientBase::submit(sm::Command command) {
   const obs::TraceContext prev_span = active_span();
   if (span_store() != nullptr) {
     const obs::TraceId trace = obs::trace_id_of(command.id);
-    const obs::SpanId root = span_store()->open_root(trace, id(), "command", true_now());
-    if (root != 0) {
-      root_spans_.emplace(command.id, root);
-      set_active_span(obs::TraceContext{trace, root});
-    }
+    request.root_span = span_store()->open_root(trace, id(), "command", true_now());
+    if (request.root_span != 0) set_active_span(obs::TraceContext{trace, request.root_span});
   }
-  if (request_timeout_ > Duration::zero()) {
-    const RequestId rid = command.id;
-    pending_.emplace(rid, PendingRequest{command, 0});
-    propose(command);
-    set_active_span(prev_span);
-    arm_timeout(rid, 0);
-    return;
-  }
+  const bool timed = request_timeout_ > Duration::zero();
+  if (timed) request.command = command;
+  const std::uint64_t seq = command.id.seq;
+  // propose() may commit synchronously and erase the entry: `request` is
+  // not used past this point.
   propose(command);
   set_active_span(prev_span);
+  if (timed) arm_timeout(seq, 0);
 }
 
-obs::SpanId ClientBase::root_span_of(const RequestId& id) const {
-  const auto it = root_spans_.find(id);
-  return it == root_spans_.end() ? 0 : it->second;
-}
-
-void ClientBase::arm_timeout(const RequestId& id, std::size_t attempt) {
+void ClientBase::arm_timeout(std::uint64_t seq, std::size_t attempt) {
   // The wait before retry (attempt + 1); the plain timeout when backoff is
   // not configured.
   const Duration wait = backoff_rng_.has_value() ? backoff_delay(attempt + 1)
                                                  : request_timeout_;
   if (backoff_rng_.has_value()) obs_retry_backoff_.record(wait);
-  after(wait, [this, id, attempt] {
-    auto it = pending_.find(id);
-    if (it == pending_.end()) return;           // committed meanwhile
-    if (it->second.attempts != attempt) return;  // stale timer from an older attempt
+  // Each request has at most one live timer (the next is armed when this
+  // one fires), so the entry's attempt count identifies it. Capturing only
+  // the seq keeps the callable small enough for std::function to hold
+  // inline.
+  after(wait, [this, seq] {
+    const RequestId rid{id(), seq};
+    auto it = requests_.find(rid);
+    if (it == requests_.end()) return;  // committed meanwhile
+    Request& request = it->second;
+    const std::size_t attempt = request.attempts;
     if (attempt >= max_retries_) {
-      // Out of retry budget: give up, but keep the books balanced so
-      // submitted == committed + abandoned + inflight still holds.
-      const sm::Command command = it->second.command;
-      pending_.erase(it);
-      sent_at_.erase(id);
-      abandoned_seqs_.insert(id.seq);
+      // Out of retry budget: give up, but keep the entry so a late commit
+      // still balances submitted == committed + abandoned + inflight.
+      request.abandoned = true;
+      request.command.reset();
       ++abandoned_;
       obs_abandoned_.inc();
-      if (span_store() != nullptr) {
-        const auto root_it = root_spans_.find(id);
-        if (root_it != root_spans_.end()) {
-          span_store()->close(root_it->second, true_now());
-          root_spans_.erase(root_it);
-        }
-      }
+      if (request.root_span != 0) span_store()->close(request.root_span, true_now());
       if (obs_sink().tracing()) {
         obs_sink().record(obs::TraceEvent{.at = true_now(),
                                           .kind = obs::EventKind::kClientAbandon,
-                                          .node = this->id(),
-                                          .request = id,
+                                          .node = id(),
+                                          .request = rid,
                                           .value = static_cast<std::int64_t>(attempt)});
       }
       return;
     }
     const std::size_t next_attempt = attempt + 1;
-    it->second.attempts = next_attempt;
+    request.attempts = next_attempt;
     ++retries_;
     obs_retries_.inc();
     if (obs_sink().tracing()) {
       obs_sink().record(obs::TraceEvent{.at = true_now(),
                                         .kind = obs::EventKind::kClientRetry,
-                                        .node = this->id(),
-                                        .request = id,
+                                        .node = id(),
+                                        .request = rid,
                                         .value = static_cast<std::int64_t>(next_attempt)});
     }
-    // Copy the command: on_request_timeout may re-enter and mutate pending_.
-    const sm::Command command = it->second.command;
+    // Copy what the retry needs: on_request_timeout may commit the request
+    // and erase its entry.
+    const sm::Command command = *request.command;
+    const obs::SpanId root = request.root_span;
     // Re-activate the command's root span so the retry's messages stay on
     // the original trace (the retry is causally part of the same command).
-    const obs::SpanId root = root_span_of(id);
-    if (root != 0) {
-      set_active_span(obs::TraceContext{obs::trace_id_of(id), root});
-    }
+    if (root != 0) set_active_span(obs::TraceContext{obs::trace_id_of(rid), root});
     on_request_timeout(command, next_attempt);
     if (root != 0) clear_active_span();
-    arm_timeout(id, next_attempt);
+    arm_timeout(seq, next_attempt);
   });
 }
 
@@ -166,32 +154,28 @@ void ClientBase::on_committed(const RequestId& /*id*/, TimePoint /*sent_at*/,
 
 void ClientBase::handle_committed(const RequestId& id) {
   if (id.client != this->id()) return;
-  if (!done_seqs_.insert(id.seq).second) return;  // duplicate notification
+  const auto it = requests_.find(id);
+  if (it == requests_.end()) return;  // duplicate, or never submitted here
+  const TimePoint sent = it->second.sent_at;
+  const obs::SpanId root = it->second.root_span;
+  const bool abandoned = it->second.abandoned;
+  requests_.erase(it);
   ++committed_;
   obs_committed_.inc();
-  pending_.erase(id);
-  if (abandoned_seqs_.erase(id.seq) > 0) {
+  if (abandoned) {
     // A retry we had given up on came through after all; un-count the
     // abandonment so the accounting invariant keeps holding. (The obs
     // counter stays monotonic: it counts abandon *events*, not the net.)
     --abandoned_;
+    return;
   }
-  if (span_store() != nullptr) {
+  if (root != 0) {
     // Terminal event of the trace: close the root span at commit time and
     // record which span delivered the commit (the handler span of the
     // message being processed right now; 0 on an untraced path).
-    const auto root_it = root_spans_.find(id);
-    if (root_it != root_spans_.end()) {
-      span_store()->close(root_it->second, true_now());
-      span_store()->note_commit(obs::trace_id_of(id), id, true_now(),
-                                active_span().span_id);
-      root_spans_.erase(root_it);
-    }
+    span_store()->close(root, true_now());
+    span_store()->note_commit(obs::trace_id_of(id), id, true_now(), active_span().span_id);
   }
-  auto it = sent_at_.find(id);
-  if (it == sent_at_.end()) return;
-  const TimePoint sent = it->second;
-  sent_at_.erase(it);
   obs_commit_latency_.record(true_now() - sent);
   on_committed(id, sent, true_now());
   if (obs_sink().tracing()) {

@@ -15,7 +15,6 @@
 #include <functional>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/rng.h"
 #include "rpc/node.h"
@@ -43,6 +42,7 @@ class ClientBase : public Node {
   void stop_load();
 
   /// Submit one command now (records its send time, then calls propose()).
+  /// `command.id` must carry this client's id and a seq not in flight.
   void submit(sm::Command command);
 
   /// Enable the per-request timeout: a request that has not committed
@@ -68,7 +68,7 @@ class ClientBase : public Node {
 
   [[nodiscard]] std::uint64_t submitted_count() const { return submitted_; }
   [[nodiscard]] std::uint64_t committed_count() const { return committed_; }
-  [[nodiscard]] std::uint64_t inflight_count() const { return sent_at_.size(); }
+  [[nodiscard]] std::uint64_t inflight_count() const { return requests_.size() - abandoned_; }
   /// Timed-out re-proposals issued so far.
   [[nodiscard]] std::uint64_t retry_count() const { return retries_; }
   /// Requests given up on after exhausting retries (each is accounted for:
@@ -86,7 +86,8 @@ class ClientBase : public Node {
   virtual void on_request_timeout(const sm::Command& command, std::size_t attempt);
 
   /// Protocol clients call this when they learn a request committed.
-  /// Duplicate notifications are ignored.
+  /// Duplicate notifications, and notifications for requests this client
+  /// never submitted, are ignored.
   void handle_committed(const RequestId& id);
 
   /// Called exactly once per request, when its first commit notification
@@ -97,15 +98,20 @@ class ClientBase : public Node {
   virtual void on_committed(const RequestId& id, TimePoint sent_at, TimePoint committed_at);
 
  private:
-  struct PendingRequest {
-    sm::Command command;
-    std::size_t attempts = 0;  // retries issued so far
+  /// Everything the client tracks about one request, from submit until its
+  /// first commit notification. An abandoned request keeps its entry (with
+  /// `abandoned` set) so a late commit can still be accounted for; a request
+  /// with no entry is done, was never submitted, or belongs to someone else.
+  struct Request {
+    TimePoint sent_at;          // true send time
+    obs::SpanId root_span = 0;  // live command trace (0 when spans are off)
+    std::size_t attempts = 0;   // retries issued so far
+    bool abandoned = false;
+    std::optional<sm::Command> command;  // kept for retries (timeouts on)
   };
 
-  void arm_timeout(const RequestId& id, std::size_t attempt);
+  void arm_timeout(std::uint64_t seq, std::size_t attempt);
   void init_obs();
-  /// Root span id of a live request's trace (0 when spans are disabled).
-  [[nodiscard]] obs::SpanId root_span_of(const RequestId& id) const;
 
   CommitHook commit_hook_;
   SendHook send_hook_;
@@ -116,11 +122,7 @@ class ClientBase : public Node {
   obs::CounterHandle obs_abandoned_;
   obs::HistogramHandle obs_commit_latency_;
   obs::HistogramHandle obs_retry_backoff_;
-  std::unordered_map<RequestId, TimePoint> sent_at_;  // true send time
-  std::unordered_map<RequestId, obs::SpanId> root_spans_;  // live command traces
-  std::unordered_set<std::uint64_t> done_seqs_;       // committed request seqs
-  std::unordered_map<RequestId, PendingRequest> pending_;  // timeout-tracked
-  std::unordered_set<std::uint64_t> abandoned_seqs_;  // for late-commit fixup
+  std::unordered_map<RequestId, Request> requests_;
   Duration request_timeout_ = Duration::zero();       // zero = disabled
   std::size_t max_retries_ = 0;
   double backoff_multiplier_ = 1.0;                   // 1.0 = fixed interval

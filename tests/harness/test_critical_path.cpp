@@ -229,6 +229,37 @@ TEST(CriticalPathRun, FaultEventsAppearAsInstants) {
   check_exact_sum(run_domino(s));
 }
 
+TEST(CriticalPathRun, AmnesiacRestartClosesEveryWaitSpan) {
+  // Replica 0 crashes and restarts amnesiacally. Each wait span it opened
+  // before the crash lives in the protocol record of its round, so the
+  // restart's wipe of those records must close it: none may be left open
+  // (end == begin) in the export.
+  const TimePoint crash_at = TimePoint::epoch() + milliseconds(1100);
+  const NodeId crashed{0};
+  for (const Protocol p : {Protocol::kMultiPaxos, Protocol::kMencius, Protocol::kEPaxos,
+                           Protocol::kFastPaxos, Protocol::kDomino}) {
+    for (const std::uint64_t seed : {1u, 2u}) {
+      SCOPED_TRACE(protocol_name(p) + " seed " + std::to_string(seed));
+      Scenario s = traced_scenario();
+      s.seed = seed;
+      s.amnesia_crashes = true;
+      s.faults.crash_for(crash_at, crashed, milliseconds(1500));
+      const RunResult r = run_protocol(p, s);
+      ASSERT_NE(r.spans, nullptr);
+      ASSERT_EQ(r.recovery.restarts, 1u);
+      std::size_t waits = 0;
+      for (const obs::Span& span : r.spans->spans()) {
+        // Wait spans are the non-root spans no inbound message opened.
+        if (span.node != crashed || span.root || span.msg_type != 0) continue;
+        if (span.begin >= crash_at) continue;
+        ++waits;
+        EXPECT_GT(span.end, span.begin) << span.name << " span " << span.id << " left open";
+      }
+      EXPECT_GT(waits, 0u);
+    }
+  }
+}
+
 TEST(CriticalPathRun, DisabledSpansLeaveWireUntouched) {
   // Spans change the envelope (context bytes); with command_spans off the
   // traffic totals must match a plain observability run exactly.

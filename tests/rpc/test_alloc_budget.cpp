@@ -9,6 +9,8 @@
 //     delivery, decode, and the payload's return to the free list;
 //   - an unbound Persistor::persist (durability off) whose continuation
 //     captures a whole sm::Command: it runs inline, nothing is type-erased.
+// and that a ClientBase submit -> commit cycle costs at most one allocation
+// per request (its entry in the request table), timeouts off or on.
 // Its own binary, since the operator new replacement is process-wide.
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include "core/messages.h"
 #include "net/network.h"
 #include "recovery/durable.h"
+#include "rpc/client_base.h"
 #include "rpc/node.h"
 #include "sim/simulator.h"
 
@@ -186,6 +189,51 @@ TEST(AllocBudget, UnboundPersistRunsInlineWithoutAllocating) {
   EXPECT_FALSE(body_called);
   EXPECT_EQ(ran, static_cast<std::uint64_t>(kMeasured) * 16);
   EXPECT_EQ(allocations, 0u);
+}
+
+/// Client whose propose() self-commits after 1 ms. The commit timer
+/// captures only `this` and the seq, so std::function holds it inline.
+class LoopbackClient : public rpc::ClientBase {
+ public:
+  LoopbackClient(NodeId id, net::Network& network)
+      : rpc::ClientBase(id, 0, network, sim::LocalClock{}) {}
+
+ protected:
+  void propose(const sm::Command& command) override {
+    after(milliseconds(1), [this, seq = command.id.seq] {
+      handle_committed(RequestId{id(), seq});
+    });
+  }
+  void on_packet(const net::Packet&) override {}
+};
+
+/// Allocations per request of `n` submit -> commit cycles after a warm-up,
+/// with the client's request timeout set to `timeout` (zero = off).
+double client_allocations_per_request(Duration timeout) {
+  sim::Simulator simulator;
+  net::Network network(simulator, net::Topology{{"A"}, {{0.0}}}, 1);
+  LoopbackClient client(NodeId{1000}, network);
+  client.attach();
+  client.set_request_timeout(timeout);
+  std::uint64_t seq = 0;
+  auto cycles = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      client.submit(command_8b(seq++));
+      simulator.run();
+    }
+  };
+  cycles(kWarmup);
+  const std::uint64_t before = g_allocations;
+  cycles(kMeasured);
+  const std::uint64_t allocations = g_allocations - before;
+  EXPECT_EQ(client.committed_count(), static_cast<std::uint64_t>(kWarmup + kMeasured));
+  EXPECT_EQ(client.inflight_count(), 0u);
+  return static_cast<double>(allocations) / kMeasured;
+}
+
+TEST(AllocBudget, ClientSubmitCommitCycleAllocatesAtMostOncePerRequest) {
+  EXPECT_LE(client_allocations_per_request(Duration::zero()), 1.0);
+  EXPECT_LE(client_allocations_per_request(milliseconds(50)), 1.0);
 }
 
 TEST(AllocBudget, CounterSeesAllocations) {

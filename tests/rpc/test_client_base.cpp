@@ -158,6 +158,43 @@ sm::Command command_for(NodeId client, std::uint64_t seq) {
   return cmd;
 }
 
+TEST(ClientBase, UnsubmittedCommitIgnored) {
+  sim::Simulator simulator;
+  net::Network network(simulator, one_dc(), 1);
+  class Exposed : public LoopbackClient {
+   public:
+    using LoopbackClient::LoopbackClient;
+    void force_commit(const RequestId& id) { handle_committed(id); }
+    int on_committed_calls = 0;
+
+   protected:
+    void on_committed(const RequestId&, TimePoint, TimePoint) override {
+      ++on_committed_calls;
+    }
+  };
+  Exposed c(NodeId{1000}, network, milliseconds(1));
+  c.attach();
+  int commits = 0;
+  c.set_commit_hook([&](const RequestId&, TimePoint, TimePoint) { ++commits; });
+
+  c.force_commit(RequestId{NodeId{1000}, 7});  // our client id, never submitted
+  EXPECT_EQ(c.submitted_count(), 0u);
+  EXPECT_EQ(c.committed_count(), 0u);
+  EXPECT_EQ(c.abandoned_count(), 0u);
+  EXPECT_EQ(c.inflight_count(), 0u);
+  EXPECT_EQ(commits, 0);
+  EXPECT_EQ(c.on_committed_calls, 0);
+
+  // A later real submission of that seq still commits exactly once.
+  c.submit(command_for(NodeId{1000}, 7));
+  simulator.run();
+  EXPECT_EQ(c.committed_count(), 1u);
+  EXPECT_EQ(commits, 1);
+  EXPECT_EQ(c.on_committed_calls, 1);
+  EXPECT_EQ(c.submitted_count(),
+            c.committed_count() + c.abandoned_count() + c.inflight_count());
+}
+
 TEST(ClientBase, TimeoutRetriesUntilCommit) {
   sim::Simulator simulator;
   net::Network network(simulator, one_dc(), 1);
