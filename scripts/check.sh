@@ -43,12 +43,13 @@
 #             drift acceptance run; smoke-runs scripts/trace_stats.py on the
 #             checked-in fixtures under bench/traces/.
 #   --hotpath allocation-free message path: the zero-allocation budget per
-#             round trip, the event-queue differential ordering test, the
-#             FIFO channel reset, the wire suite (every-type codec fuzz,
+#             round trip and per trace event, the event-queue differential
+#             ordering test, the FIFO channel reset, the trace ring's
+#             grow-then-wrap path, the wire suite (every-type codec fuzz,
 #             golden bytes) and the rpc suite; ASan+UBSan flags
 #             use-after-free in recycled encode buffers, reused slab slots
 #             and client request records erased mid-call, and out-of-bounds
-#             reads on hostile input.
+#             reads on hostile input or past the ring's filled part.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -68,7 +69,7 @@ declare -A modes=(
 )
 
 usage() {
-  sed -n '2,51p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,52p' "$0" | sed 's/^# \{0,1\}//'
   exit 2
 }
 

@@ -476,10 +476,10 @@ void Replica::resolve_dfp(std::int64_t ts, bool is_noop, const sm::Command& comm
     was_fast ? obs_dfp_fast_.inc() : obs_dfp_slow_.inc();
     if (was_fast && obs_sink().tracing()) {
       obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                        .kind = obs::EventKind::kFastAccept,
-                                        .node = id(),
+                                        .value = ts,
                                         .request = command.id,
-                                        .value = ts});
+                                        .node = id(),
+                                        .kind = obs::EventKind::kFastAccept});
     }
   } else {
     ++dfp_noop_resolutions_;
@@ -526,9 +526,9 @@ void Replica::reroute_via_dm(const sm::Command& command) {
   obs_rerouted_.inc();
   if (obs_sink().tracing()) {
     obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                      .kind = obs::EventKind::kCoordinatorFallback,
+                                      .request = command.id,
                                       .node = id(),
-                                      .request = command.id});
+                                      .kind = obs::EventKind::kCoordinatorFallback});
   }
   dm_lead(command, /*reply_via_dfp=*/true);
 }
@@ -1210,10 +1210,10 @@ void Replica::execute_ready() {
     obs_executed_.inc();
     if (obs_sink().tracing()) {
       obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                        .kind = obs::EventKind::kExecute,
-                                        .node = id(),
+                                        .value = pos.ts,
                                         .request = command.id,
-                                        .value = pos.ts});
+                                        .node = id(),
+                                        .kind = obs::EventKind::kExecute});
     }
     notify_executed(command.id);
   }

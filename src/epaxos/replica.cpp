@@ -200,9 +200,9 @@ void Replica::handle_preaccept_reply(NodeId from, const wire::Payload& payload) 
     obs_fast_.inc();
     if (obs_sink().tracing()) {
       obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                        .kind = obs::EventKind::kFastAccept,
+                                        .request = inst.command.id,
                                         .node = id(),
-                                        .request = inst.command.id});
+                                        .kind = obs::EventKind::kFastAccept});
     }
     // The commit decision is externalized by the ClientReply and the Commit
     // broadcast, so it must be durable first. The book is erased now so

@@ -288,10 +288,10 @@ void Replica::finish_commit(std::uint64_t index, bool is_noop, const sm::Command
     obs_fast_.inc();
     if (obs_sink().tracing()) {
       obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                        .kind = obs::EventKind::kFastAccept,
-                                        .node = id(),
+                                        .value = static_cast<std::int64_t>(index),
                                         .request = command.id,
-                                        .value = static_cast<std::int64_t>(index)});
+                                        .node = id(),
+                                        .kind = obs::EventKind::kFastAccept});
     }
   } else {
     ++slow_commits_;

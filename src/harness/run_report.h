@@ -38,7 +38,6 @@ struct RunReport {
   std::shared_ptr<obs::TraceRecorder> trace;
   std::shared_ptr<obs::SpanStore> spans;  // null unless Scenario::command_spans
   std::vector<obs::CommandPath> critical_paths;
-  std::uint64_t trace_events_dropped = 0;
   /// Decision-record audit; null unless Scenario::prediction_audit (the
   /// "predict" JSON block and predict_csv() are omitted/empty then).
   std::shared_ptr<obs::PredictionAudit> predict;

@@ -222,13 +222,10 @@ struct Env {
     result.trace = trace;
     result.spans = spans;
     result.predict = predict;
-    if (trace != nullptr) {
+    if (trace != nullptr && metrics != nullptr) {
       // Surface ring-buffer overwrite: dropped events must be visible, not
-      // silent (satellite of the span work).
-      result.trace_events_dropped = trace->overwritten();
-      if (metrics != nullptr) {
-        metrics->counter("obs.trace.dropped_events").inc(trace->overwritten());
-      }
+      // silent.
+      metrics->counter("obs.trace.dropped_events").inc(trace->overwritten());
     }
     if (spans != nullptr) {
       if (metrics != nullptr) {

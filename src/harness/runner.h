@@ -225,10 +225,6 @@ struct RunResult {
   /// Per-(owner,target) estimator-calibration rows, replicas first then
   /// clients, each in construction order; empty unless prediction_audit.
   std::vector<obs::CalibrationRow> calibration;
-  /// Protocol events lost to trace-ring overwrite (satellite of the span
-  /// work: overflow is counted, never silent).
-  std::uint64_t trace_events_dropped = 0;
-
   /// Windowed telemetry frames; null unless Scenario::timeseries_interval
   /// was set (and observability was on).
   std::shared_ptr<obs::Timeseries> timeseries;

@@ -44,10 +44,10 @@ void Prober::send_probes() {
     obs_probes_sent_.inc();
     if (owner_.obs_sink().tracing()) {
       owner_.obs_sink().record(obs::TraceEvent{.at = owner_.true_now(),
-                                               .kind = obs::EventKind::kProbeSend,
+                                               .value = static_cast<std::int64_t>(seq),
                                                .node = owner_.id(),
                                                .peer = t,
-                                               .value = static_cast<std::int64_t>(seq)});
+                                               .kind = obs::EventKind::kProbeSend});
     }
   }
 }
@@ -81,10 +81,10 @@ void Prober::on_probe_reply(NodeId from, const ProbeReply& reply) {
   if (owner_.obs_sink().tracing()) {
     owner_.obs_sink().record(
         obs::TraceEvent{.at = owner_.true_now(),
-                        .kind = obs::EventKind::kProbeRecv,
+                        .value = (local_now - reply.echo_sender_local_time).nanos(),
                         .node = owner_.id(),
                         .peer = from,
-                        .value = (local_now - reply.echo_sender_local_time).nanos()});
+                        .kind = obs::EventKind::kProbeRecv});
   }
 }
 

@@ -148,10 +148,10 @@ void FaultInjector::trace_link_event(obs::EventKind kind, TimePoint at,
                                      std::int64_t value) {
   if (obs_.tracing()) {
     obs_.record(obs::TraceEvent{.at = at,
-                                .kind = kind,
+                                .value = value,
                                 .node = NodeId{static_cast<std::uint32_t>(from_dc)},
                                 .peer = NodeId{static_cast<std::uint32_t>(to_dc)},
-                                .value = value});
+                                .kind = kind});
   }
 }
 
@@ -191,7 +191,7 @@ void FaultInjector::crash(NodeId node) {
   mix(node.value());
   if (obs_.tracing()) {
     obs_.record(obs::TraceEvent{
-        .at = sim_.now(), .kind = obs::EventKind::kNodeCrash, .node = node});
+        .at = sim_.now(), .node = node, .kind = obs::EventKind::kNodeCrash});
   }
 }
 
@@ -210,7 +210,7 @@ void FaultInjector::recover(NodeId node) {
   }
   if (obs_.tracing()) {
     obs_.record(obs::TraceEvent{
-        .at = sim_.now(), .kind = obs::EventKind::kNodeRecover, .node = node});
+        .at = sim_.now(), .node = node, .kind = obs::EventKind::kNodeRecover});
   }
   if (recover_hook_) recover_hook_(node);
   // Restart (amnesia) runs after the transport forgot the node's channel
@@ -336,11 +336,11 @@ void FaultInjector::count_drop(DropReason reason, TimePoint at, NodeId src, Node
   mix((static_cast<std::uint64_t>(src.value()) << 32) | dst.value());
   if (obs_.tracing()) {
     obs_.record(obs::TraceEvent{.at = at,
-                                .kind = obs::EventKind::kMessageDrop,
+                                .value = static_cast<std::int64_t>(bytes),
                                 .node = src,
                                 .peer = dst,
-                                .detail = static_cast<std::uint8_t>(reason),
-                                .value = static_cast<std::int64_t>(bytes)});
+                                .kind = obs::EventKind::kMessageDrop,
+                                .detail = static_cast<std::uint8_t>(reason)});
   }
 }
 

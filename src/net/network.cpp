@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "wire/message.h"
-
 namespace domino::net {
 
 Network::Network(sim::Simulator& simulator, Topology topology, std::uint64_t seed)
@@ -180,22 +178,11 @@ void Network::send(NodeId src, NodeId dst, wire::Payload payload) {
     d.rx_busy_until = deliver_at;
   }
 
-  if (obs_.active()) {
-    if (!link_obs_.empty()) {
-      LinkObs& lo = link_obs_[s.dc][d.dc];
-      lo.messages.inc();
-      lo.bytes.inc(bytes);
-      lo.delay_ns.record(deliver_at - now);
-    }
-    if (obs_.tracing()) {
-      obs_.record(obs::TraceEvent{
-          .at = now,
-          .kind = obs::EventKind::kMessageSend,
-          .node = src,
-          .peer = dst,
-          .msg_type = static_cast<std::uint16_t>(wire::peek_type(payload)),
-          .value = static_cast<std::int64_t>(bytes)});
-    }
+  if (!link_obs_.empty()) {
+    LinkObs& lo = link_obs_[s.dc][d.dc];
+    lo.messages.inc();
+    lo.bytes.inc(bytes);
+    lo.delay_ns.record(deliver_at - now);
   }
 
   std::uint32_t slot;
@@ -231,15 +218,6 @@ void Network::deliver(std::uint32_t slot) {
     count_drop(reason, pkt.src, pkt.dst, bytes);
     wire::recycle(std::move(pkt.payload));
     return;
-  }
-  if (obs_.tracing()) {
-    obs_.record(obs::TraceEvent{
-        .at = sim_.now(),
-        .kind = obs::EventKind::kMessageDeliver,
-        .node = pkt.dst,
-        .peer = pkt.src,
-        .msg_type = static_cast<std::uint16_t>(wire::peek_type(pkt.payload)),
-        .value = (sim_.now() - pkt.sent_at).nanos()});
   }
   if (to.receiver) to.receiver(pkt);
   wire::recycle(std::move(pkt.payload));

@@ -119,9 +119,9 @@ class Network {
 
   /// Attach an observability sink. Registers per-directed-datacenter-link
   /// message/byte counters and delivery-delay histograms, traces every
-  /// packet send/deliver/drop, and is inherited by nodes constructed over
-  /// this network (rpc::SimContext forwards it). Bind before registering
-  /// nodes so their handles resolve.
+  /// dropped packet (sends and deliveries are counted, not traced), and is
+  /// inherited by nodes constructed over this network (rpc::SimContext
+  /// forwards it). Bind before registering nodes so their handles resolve.
   void bind_obs(const obs::Sink& sink);
   [[nodiscard]] const obs::Sink& obs_sink() const { return obs_; }
 

@@ -13,8 +13,6 @@ const char* event_kind_name(EventKind kind) {
     case EventKind::kExecute: return "execute";
     case EventKind::kProbeSend: return "probe_send";
     case EventKind::kProbeRecv: return "probe_recv";
-    case EventKind::kMessageSend: return "msg_send";
-    case EventKind::kMessageDeliver: return "msg_deliver";
     case EventKind::kMessageDrop: return "msg_drop";
     case EventKind::kNodeCrash: return "node_crash";
     case EventKind::kNodeRecover: return "node_recover";
@@ -32,31 +30,31 @@ const char* event_kind_name(EventKind kind) {
 }
 
 TraceRecorder::TraceRecorder(std::size_t capacity)
-    : ring_(std::max<std::size_t>(1, capacity)) {}
+    : capacity_(std::max<std::size_t>(1, capacity)) {
+  ring_.reserve(capacity_);
+}
 
 void TraceRecorder::record(const TraceEvent& event) {
-  ring_[head_] = event;
-  head_ = (head_ + 1) % ring_.size();
+  if (ring_.size() < capacity_) {
+    ring_.push_back(event);
+  } else {
+    ring_[head_] = event;
+    if (++head_ == capacity_) head_ = 0;
+  }
   ++total_;
 }
 
-std::size_t TraceRecorder::size() const {
-  return std::min<std::uint64_t>(total_, ring_.size());
-}
-
 std::vector<TraceEvent> TraceRecorder::snapshot() const {
+  // Oldest first: head_ is 0 until the ring wraps.
   std::vector<TraceEvent> out;
-  const std::size_t n = size();
-  out.reserve(n);
-  // Oldest event: at head_ when the ring has wrapped, else at 0.
-  const std::size_t start = total_ > ring_.size() ? head_ : 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
+  out.reserve(ring_.size());
+  out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(head_), ring_.end());
+  out.insert(out.end(), ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(head_));
   return out;
 }
 
 void TraceRecorder::clear() {
+  ring_.clear();
   head_ = 0;
   total_ = 0;
 }

@@ -1,10 +1,11 @@
 // Structured protocol event tracing.
 //
-// A TraceRecorder captures fixed-size events into a preallocated ring
-// buffer. Timestamps are virtual time only (never a wall clock), and events
-// are recorded in simulator execution order, so two runs with the same seed
-// produce byte-identical trace output — the property the evaluation harness
-// relies on to diff runs.
+// A TraceRecorder captures fixed-size events into a ring buffer that is
+// reserved up front and written only as it fills, so an unused slot costs
+// neither set-up time nor resident memory. Timestamps are virtual time only
+// (never a wall clock), and events are recorded in simulator execution
+// order, so two runs with the same seed produce byte-identical trace output
+// — the property the evaluation harness relies on to diff runs.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +26,6 @@ enum class EventKind : std::uint8_t {
   kExecute,              // replica executes a command
   kProbeSend,            // measurement probe sent
   kProbeRecv,            // measurement probe reply received
-  kMessageSend,          // transport accepted a packet
-  kMessageDeliver,       // transport delivered a packet
   kMessageDrop,          // transport dropped a packet (detail = net::DropReason)
   kNodeCrash,            // fault injector crashed a node
   kNodeRecover,          // fault injector recovered a node
@@ -43,29 +42,34 @@ enum class EventKind : std::uint8_t {
 
 [[nodiscard]] const char* event_kind_name(EventKind kind);
 
+// Fields ordered widest first so the event packs into 48 bytes; designated
+// initialisers at the record sites follow this order.
 struct TraceEvent {
   TimePoint at;                       // virtual (true) time
-  EventKind kind = EventKind::kMessageSend;
+  std::int64_t value = 0;             // kind-specific (bytes, delay ns, ts)
+  RequestId request{NodeId::invalid(), 0};  // subject request, if any
   NodeId node;                        // acting node
   NodeId peer = NodeId::invalid();    // counterpart, if any
-  RequestId request{NodeId::invalid(), 0};  // subject request, if any
   std::uint16_t msg_type = 0;         // wire::MessageType tag, 0 if n/a
+  EventKind kind = EventKind::kRequestSubmit;
   std::uint8_t detail = 0;            // kind-specific code (e.g. drop reason)
-  std::int64_t value = 0;             // kind-specific (bytes, delay ns, ts)
 };
+static_assert(sizeof(TraceEvent) == 48);
 
 class TraceRecorder {
  public:
   static constexpr std::size_t kDefaultCapacity = 1 << 16;
 
+  /// Reserves `capacity` events; none is constructed until recorded.
   explicit TraceRecorder(std::size_t capacity = kDefaultCapacity);
 
-  /// O(1); once the ring is full the oldest event is overwritten.
+  /// O(1), allocation-free; once the ring is full the oldest event is
+  /// overwritten.
   void record(const TraceEvent& event);
 
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
   /// Events currently retained.
-  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
   /// Events ever recorded (retained + overwritten).
   [[nodiscard]] std::uint64_t total_recorded() const { return total_; }
   [[nodiscard]] std::uint64_t overwritten() const { return total_ - size(); }
@@ -74,11 +78,13 @@ class TraceRecorder {
   /// Retained events, oldest first.
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;
 
+  /// Drops every event; the reservation is kept.
   void clear();
 
  private:
-  std::vector<TraceEvent> ring_;
-  std::size_t head_ = 0;     // next write position
+  std::vector<TraceEvent> ring_;  // grows to capacity_, then wraps
+  std::size_t capacity_;
+  std::size_t head_ = 0;     // oldest event (and next overwrite) once full
   std::uint64_t total_ = 0;  // events ever recorded
 };
 

@@ -65,9 +65,9 @@ void ClientBase::submit(sm::Command command) {
   obs_submitted_.inc();
   if (obs_sink().tracing()) {
     obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                      .kind = obs::EventKind::kRequestSubmit,
+                                      .request = command.id,
                                       .node = id(),
-                                      .request = command.id});
+                                      .kind = obs::EventKind::kRequestSubmit});
   }
   if (send_hook_) send_hook_(command.id, true_now());
   // Open the command's root span and propose inside its context, so every
@@ -114,10 +114,10 @@ void ClientBase::arm_timeout(std::uint64_t seq, std::size_t attempt) {
       if (request.root_span != 0) span_store()->close(request.root_span, true_now());
       if (obs_sink().tracing()) {
         obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                          .kind = obs::EventKind::kClientAbandon,
-                                          .node = id(),
+                                          .value = static_cast<std::int64_t>(attempt),
                                           .request = rid,
-                                          .value = static_cast<std::int64_t>(attempt)});
+                                          .node = id(),
+                                          .kind = obs::EventKind::kClientAbandon});
       }
       return;
     }
@@ -127,10 +127,10 @@ void ClientBase::arm_timeout(std::uint64_t seq, std::size_t attempt) {
     obs_retries_.inc();
     if (obs_sink().tracing()) {
       obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                        .kind = obs::EventKind::kClientRetry,
-                                        .node = id(),
+                                        .value = static_cast<std::int64_t>(next_attempt),
                                         .request = rid,
-                                        .value = static_cast<std::int64_t>(next_attempt)});
+                                        .node = id(),
+                                        .kind = obs::EventKind::kClientRetry});
     }
     // Copy what the retry needs: on_request_timeout may commit the request
     // and erase its entry.
@@ -180,10 +180,10 @@ void ClientBase::handle_committed(const RequestId& id) {
   on_committed(id, sent, true_now());
   if (obs_sink().tracing()) {
     obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                      .kind = obs::EventKind::kCommit,
-                                      .node = this->id(),
+                                      .value = (true_now() - sent).nanos(),
                                       .request = id,
-                                      .value = (true_now() - sent).nanos()});
+                                      .node = this->id(),
+                                      .kind = obs::EventKind::kCommit});
   }
   if (commit_hook_) commit_hook_(id, sent, true_now());
 }

@@ -29,9 +29,9 @@ void ReplicaBase::restart() {
   if (obs_sink().tracing()) {
     obs_sink().record(obs::TraceEvent{
         .at = true_now(),
-        .kind = obs::EventKind::kRecoveryStart,
+        .value = static_cast<std::int64_t>(persistor_.epoch()),
         .node = id(),
-        .value = static_cast<std::int64_t>(persistor_.epoch())});
+        .kind = obs::EventKind::kRecoveryStart});
   }
   rebuild_from_durable();
   send_catchup_requests();
@@ -89,9 +89,9 @@ void ReplicaBase::finish_rejoin() {
   persistor_.note_rejoin(took);
   if (obs_sink().tracing()) {
     obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                      .kind = obs::EventKind::kRecoveryDone,
+                                      .value = took.nanos(),
                                       .node = id(),
-                                      .value = took.nanos()});
+                                      .kind = obs::EventKind::kRecoveryDone});
   }
 }
 

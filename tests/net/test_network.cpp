@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "obs/sink.h"
+
 namespace domino::net {
 namespace {
 
@@ -173,6 +175,51 @@ TEST(Network, TrafficCountersAdvance) {
   f.network.send(NodeId{0}, NodeId{1}, payload_of(1));
   EXPECT_EQ(f.network.packets_sent(), 1u);
   EXPECT_EQ(f.network.bytes_sent(), 1 + kFrameOverheadBytes);
+}
+
+// A bound sink counts every packet per link but traces only drops: the
+// per-packet record lives in the link counters and delay histogram.
+struct ObservedFixture : Fixture {
+  obs::MetricsRegistry metrics;
+  obs::TraceRecorder trace{64};
+
+  ObservedFixture() {
+    network.bind_obs(obs::Sink{&metrics, &trace, nullptr, nullptr});
+    add_node(NodeId{0}, 0);
+    add_node(NodeId{1}, 1);
+  }
+
+  [[nodiscard]] std::uint64_t counter(const char* name) const {
+    const obs::Counter* c = metrics.find_counter(name);
+    return c != nullptr ? c->value() : 0;
+  }
+  [[nodiscard]] std::size_t events_of(obs::EventKind kind) const {
+    std::size_t n = 0;
+    for (const obs::TraceEvent& e : trace.snapshot()) n += e.kind == kind ? 1 : 0;
+    return n;
+  }
+};
+
+TEST(Network, DeliveredPacketIsCountedNotTraced) {
+  ObservedFixture f;
+  f.network.send(NodeId{0}, NodeId{1}, wire::Payload{1, 0});  // a 2-byte envelope tag
+  f.simulator.run();
+  ASSERT_EQ(f.delivered.size(), 1u);
+  EXPECT_EQ(f.trace.total_recorded(), 0u);
+  EXPECT_EQ(f.counter("net.link.A->B.messages"), 1u);
+  EXPECT_EQ(f.counter("net.link.A->B.bytes"), 2 + kFrameOverheadBytes);
+  EXPECT_EQ(f.counter("net.link.B->A.messages"), 0u);
+}
+
+TEST(Network, PacketToCrashedNodeTracesOneDrop) {
+  ObservedFixture f;
+  f.network.crash(NodeId{1});
+  f.network.send(NodeId{0}, NodeId{1}, wire::Payload{1, 0});
+  f.simulator.run();
+  EXPECT_TRUE(f.delivered.empty());
+  EXPECT_EQ(f.events_of(obs::EventKind::kMessageDrop), 1u);
+  EXPECT_EQ(f.events_of(obs::EventKind::kNodeCrash), 1u);
+  EXPECT_EQ(f.trace.total_recorded(), 2u);
 }
 
 TEST(Network, DuplicateRegistrationThrows) {

@@ -10,7 +10,9 @@
 //   - an unbound Persistor::persist (durability off) whose continuation
 //     captures a whole sm::Command: it runs inline, nothing is type-erased.
 // and that a ClientBase submit -> commit cycle costs at most one allocation
-// per request (its entry in the request table), timeouts off or on.
+// per request (its entry in the request table), timeouts off or on, and
+// that a constructed obs::TraceRecorder records, fills and wraps without
+// allocating.
 // Its own binary, since the operator new replacement is process-wide.
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 
 #include "core/messages.h"
 #include "net/network.h"
+#include "obs/trace.h"
 #include "recovery/durable.h"
 #include "rpc/client_base.h"
 #include "rpc/node.h"
@@ -234,6 +237,22 @@ double client_allocations_per_request(Duration timeout) {
 TEST(AllocBudget, ClientSubmitCommitCycleAllocatesAtMostOncePerRequest) {
   EXPECT_LE(client_allocations_per_request(Duration::zero()), 1.0);
   EXPECT_LE(client_allocations_per_request(milliseconds(50)), 1.0);
+}
+
+TEST(AllocBudget, TraceRecorderRecordsAndWrapsWithoutAllocating) {
+  constexpr std::size_t kCapacity = 1024;
+  obs::TraceRecorder trace(kCapacity);
+  const std::uint64_t before = g_allocations;
+  for (std::int64_t i = 0; i < static_cast<std::int64_t>(2 * kCapacity); ++i) {
+    trace.record(obs::TraceEvent{.at = TimePoint::epoch() + nanoseconds(i),
+                                 .value = i,
+                                 .node = NodeId{1},
+                                 .kind = obs::EventKind::kCommit});
+  }
+  const std::uint64_t allocations = g_allocations - before;
+  EXPECT_EQ(trace.size(), kCapacity);
+  EXPECT_EQ(trace.overwritten(), kCapacity);
+  EXPECT_EQ(allocations, 0u);
 }
 
 TEST(AllocBudget, CounterSeesAllocations) {
