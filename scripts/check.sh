@@ -29,8 +29,10 @@
 #             and the exact oracle-regret identity; smoke-runs
 #             scripts/predict_summary.py on the suite's sample CSVs.
 #   --recovery amnesia-aware crash recovery: durable replay, peer catch-up,
-#             and the weakened-persistence negative test; ASan+UBSan flags
-#             use-after-free in restart/replay paths.  Smoke-runs
+#             the weakened-persistence negative test, and Domino's lane
+#             revocation and DFP range recovery (forged and degraded round
+#             inputs included); ASan+UBSan flags use-after-free in
+#             restart/replay/recovery-round paths.  Smoke-runs
 #             scripts/trace_summary.py on the suite's Chrome-trace sample
 #             (per-node recovery intervals).
 #   --timeline windowed telemetry: per-window counter/histogram deltas, SLO
@@ -69,7 +71,8 @@ declare -A modes=(
 )
 
 usage() {
-  sed -n '2,52p' "$0" | sed 's/^# \{0,1\}//'
+  # The leading comment block, up to the first non-comment line.
+  awk 'NR > 1 && !/^#/ { exit } NR > 1 { sub(/^# ?/, ""); print }' "$0"
   exit 2
 }
 

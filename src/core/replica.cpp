@@ -53,6 +53,13 @@ wire::Payload committed_record(std::int64_t ts, std::uint32_t lane, bool is_noop
       ts, lane, is_noop,
       command != nullptr ? std::optional<sm::Command>(*command) : std::nullopt});
 }
+
+std::vector<RangeEntryWire> to_wire(const std::map<std::int64_t, sm::Command>& entries) {
+  std::vector<RangeEntryWire> out;
+  out.reserve(entries.size());
+  for (const auto& [ts, command] : entries) out.push_back(RangeEntryWire{ts, command});
+  return out;
+}
 }  // namespace
 
 Replica::Replica(NodeId id, std::size_t dc, net::Network& network,
@@ -63,7 +70,8 @@ Replica::Replica(NodeId id, std::size_t dc, net::Network& network,
       config_(config),
       log_(replicas_.size() + 1),
       prober_(*this, replicas_, config.prober),
-      replica_watermarks_(replicas_.size(), TimePoint::epoch()) {
+      replica_watermarks_(replicas_.size(), TimePoint::epoch()),
+      recovery_(replicas_.size() + 1) {
   const auto it = std::find(replicas_.begin(), replicas_.end(), id);
   if (it == replicas_.end()) throw std::invalid_argument("core::Replica: id not in set");
   rank_ = static_cast<std::size_t>(it - replicas_.begin());
@@ -77,7 +85,8 @@ Replica::Replica(NodeId id, rpc::Context& context, std::vector<NodeId> replicas,
       config_(config),
       log_(replicas_.size() + 1),
       prober_(*this, replicas_, config.prober),
-      replica_watermarks_(replicas_.size(), TimePoint::epoch()) {
+      replica_watermarks_(replicas_.size(), TimePoint::epoch()),
+      recovery_(replicas_.size() + 1) {
   const auto it = std::find(replicas_.begin(), replicas_.end(), id);
   if (it == replicas_.end()) throw std::invalid_argument("core::Replica: id not in set");
   rank_ = static_cast<std::size_t>(it - replicas_.begin());
@@ -151,22 +160,12 @@ void Replica::on_packet(const net::Packet& packet) {
       handle_dm_commit(packet.payload);
       break;
     case wire::MessageType::kDmRevoke:
-      handle_dm_revoke(packet.src, packet.payload);
-      break;
     case wire::MessageType::kDmRevokeReply:
-      handle_dm_revoke_reply(packet.src, packet.payload);
-      break;
     case wire::MessageType::kDmRevokeResult:
-      apply_dm_revoke_result(wire::decode_message<DmRevokeResult>(packet.payload));
-      break;
     case wire::MessageType::kDfpRangeRecover:
-      handle_dfp_range_recover(packet.src, packet.payload);
-      break;
     case wire::MessageType::kDfpRangeReply:
-      handle_dfp_range_reply(packet.src, packet.payload);
-      break;
     case wire::MessageType::kDfpRangeResolve:
-      apply_dfp_range_resolve(wire::decode_message<DfpRangeResolve>(packet.payload));
+      handle_range_message(packet);
       break;
     case wire::MessageType::kCatchupRequest:
       handle_catchup_request(packet.src, packet.payload);
@@ -700,6 +699,50 @@ bool Replica::is_successor_for(std::size_t dead_rank) const {
   return false;
 }
 
+void Replica::handle_range_message(const net::Packet& packet) {
+  // A DM message names its lane, which must be a DM lane; the DFP messages
+  // are for dfp_lane().
+  switch (wire::peek_type(packet.payload)) {
+    case wire::MessageType::kDmRevoke: {
+      const auto msg = wire::decode_message<DmRevoke>(packet.payload);
+      if (msg.lane >= replicas_.size()) break;
+      send(packet.src, DmRevokeReply{msg.lane, msg.from_ts, msg.to_ts,
+                                     range_entries(msg.lane, msg.from_ts, msg.to_ts)});
+      break;
+    }
+    case wire::MessageType::kDmRevokeReply: {
+      const auto msg = wire::decode_message<DmRevokeReply>(packet.payload);
+      if (msg.lane >= replicas_.size()) break;
+      merge_range_reply(msg.lane, packet.src, msg.from_ts, msg.to_ts, msg.entries);
+      break;
+    }
+    case wire::MessageType::kDmRevokeResult: {
+      const auto msg = wire::decode_message<DmRevokeResult>(packet.payload);
+      if (msg.lane >= replicas_.size()) break;
+      apply_range_outcome(msg.lane, msg.from_ts, msg.through_ts, msg.entries);
+      break;
+    }
+    case wire::MessageType::kDfpRangeRecover: {
+      const auto msg = wire::decode_message<DfpRangeRecover>(packet.payload);
+      send(packet.src, DfpRangeReply{msg.from_ts, msg.to_ts,
+                                     range_entries(dfp_lane(), msg.from_ts, msg.to_ts)});
+      break;
+    }
+    case wire::MessageType::kDfpRangeReply: {
+      const auto msg = wire::decode_message<DfpRangeReply>(packet.payload);
+      merge_range_reply(dfp_lane(), packet.src, msg.from_ts, msg.to_ts, msg.entries);
+      break;
+    }
+    case wire::MessageType::kDfpRangeResolve: {
+      const auto msg = wire::decode_message<DfpRangeResolve>(packet.payload);
+      apply_range_outcome(dfp_lane(), msg.from_ts, msg.through_ts, msg.entries);
+      break;
+    }
+    default:
+      break;
+  }
+}
+
 void Replica::maybe_run_failure_recovery() {
   // Connectivity guard: a replica that cannot see a majority of the cluster
   // (counting itself) is more likely the isolated one — freshly recovered
@@ -720,73 +763,87 @@ void Replica::maybe_run_failure_recovery() {
     // DM lane takeover: the successor revokes the dead leader's lane
     // ("DM will select one of the remaining replicas to manage the log
     // positions that are associated with the failed replica").
-    if (is_successor_for(r)) {
-      const auto lane = static_cast<std::uint32_t>(r);
-      auto& next_at = next_dm_revoke_at_[lane];
-      if (true_now() >= next_at && !dm_revokes_[lane].active) {
-        next_at = true_now() + kRecoveryRoundInterval;
-        start_dm_revoke(lane);
-      }
-    }
+    const auto lane = static_cast<std::uint32_t>(r);
+    if (is_successor_for(r) && recovery_due(lane)) start_dm_revoke(lane);
   }
   // DFP frontier recovery: the dead replica's frozen watermark would stall
   // the committed-no-op frontier forever; the coordinator recovers the
   // range with a ballot-1 round over the live replicas.
-  if (any_failed && is_coordinator() && !dfp_range_round_.active &&
-      true_now() >= next_dfp_range_at_) {
-    next_dfp_range_at_ = true_now() + kRecoveryRoundInterval;
+  if (any_failed && is_coordinator() && recovery_due(dfp_lane())) {
     start_dfp_range_recover(commit_frontier_);
   }
 }
 
+bool Replica::recovery_due(std::uint32_t lane) {
+  LaneRecovery& round = recovery_[lane];
+  if (round.active || true_now() < round.next_at) return false;
+  round.next_at = true_now() + kRecoveryRoundInterval;
+  return true;
+}
+
 void Replica::start_dm_revoke(std::uint32_t lane) {
-  RecoveryRound& round = dm_revokes_[lane];
-  round = RecoveryRound{};
-  round.active = true;
-  auto through_it = dm_revoked_through_.find(lane);
-  round.from = through_it == dm_revoked_through_.end() ? log_.watermark(lane)
-                                                       : through_it->second;
-  round.to = local_now().nanos();
-  if (round.to <= round.from) {
-    round.active = false;
-    return;
+  // Each revocation picks up where the previous one on the lane ended.
+  const std::optional<std::int64_t> through = recovery_[lane].revoked_through;
+  start_recovery(lane, through.value_or(log_.watermark(lane)), local_now().nanos());
+}
+
+void Replica::start_dfp_range_recover(std::int64_t from_ts) {
+  // Recover up to the slowest live watermark (live replicas have no-op'd
+  // everything below their clocks; the dead one cannot object at ballot 1).
+  Duration to = local_now() - TimePoint::epoch();
+  for (std::size_t r = 0; r < replicas_.size(); ++r) {
+    if (r == rank_ || prober_.looks_failed(replicas_[r])) continue;
+    to = std::min(to, replica_watermarks_[r] - TimePoint::epoch());
   }
+  start_recovery(dfp_lane(), from_ts, to.nanos());
+}
+
+void Replica::start_recovery(std::uint32_t lane, std::int64_t from, std::int64_t to) {
+  LaneRecovery& round = recovery_[lane];
+  round.active = to > from;
+  round.from = from;
+  round.to = to;
+  round.entries.clear();
+  round.replied.clear();
+  if (!round.active) return;
   // Seed with our own live entries on the lane.
-  for (const auto& e : log_.entries_in_range(lane, round.from, round.to)) {
+  for (const auto& e : log_.entries_in_range(lane, from, to)) {
     round.entries.emplace(e.ts, e.command);
   }
-  DmRevoke msg{lane, round.from, round.to};
-  for (NodeId r : replicas_) {
-    if (r != id()) send(r, msg);
+  if (lane == dfp_lane()) {
+    const DfpRangeRecover msg{from, to};
+    for (NodeId r : replicas_) {
+      if (r != id() && !prober_.looks_failed(r)) send(r, msg);
+    }
+  } else {
+    const DmRevoke msg{lane, from, to};
+    for (NodeId r : replicas_) {
+      if (r != id()) send(r, msg);
+    }
   }
-  try_finalize_dm_revoke(lane);  // single-live-replica degenerate case
+  try_finish_recovery(lane);  // single-live-replica degenerate case
 }
 
-void Replica::handle_dm_revoke(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<DmRevoke>(payload);
-  DmRevokeReply reply;
-  reply.lane = msg.lane;
-  reply.from_ts = msg.from_ts;
-  reply.to_ts = msg.to_ts;
-  for (const auto& e : log_.entries_in_range(msg.lane, msg.from_ts, msg.to_ts)) {
-    reply.entries.push_back(RangeEntryWire{e.ts, e.command});
+std::vector<RangeEntryWire> Replica::range_entries(std::uint32_t lane, std::int64_t from,
+                                                   std::int64_t to) const {
+  std::vector<RangeEntryWire> out;
+  for (const auto& e : log_.entries_in_range(lane, from, to)) {
+    out.push_back(RangeEntryWire{e.ts, e.command});
   }
-  send(from, reply);
+  return out;
 }
 
-void Replica::handle_dm_revoke_reply(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<DmRevokeReply>(payload);
-  auto it = dm_revokes_.find(msg.lane);
-  if (it == dm_revokes_.end() || !it->second.active) return;
-  RecoveryRound& round = it->second;
-  if (msg.from_ts != round.from || msg.to_ts != round.to) return;  // stale round
+void Replica::merge_range_reply(std::uint32_t lane, NodeId from, std::int64_t from_ts,
+                                std::int64_t to_ts, const std::vector<RangeEntryWire>& entries) {
+  LaneRecovery& round = recovery_[lane];
+  if (!round.active || from_ts != round.from || to_ts != round.to) return;  // stale round
   round.replied.insert(from);
-  for (const auto& e : msg.entries) round.entries.emplace(e.ts, e.command);
-  try_finalize_dm_revoke(msg.lane);
+  for (const auto& e : entries) round.entries.emplace(e.ts, e.command);
+  try_finish_recovery(lane);
 }
 
-void Replica::try_finalize_dm_revoke(std::uint32_t lane) {
-  RecoveryRound& round = dm_revokes_[lane];
+void Replica::try_finish_recovery(std::uint32_t lane) {
+  const LaneRecovery& round = recovery_[lane];
   if (!round.active) return;
   // Wait for every replica we believe is alive: querying all live replicas
   // (not just a majority) guarantees that an entry committed-and-compacted
@@ -798,120 +855,40 @@ void Replica::try_finalize_dm_revoke(std::uint32_t lane) {
     if (!round.replied.contains(replicas_[r])) return;
     ++replied;
   }
-  // Never finalize on less than a majority of lane state: if the failure
-  // detector degraded mid-round (e.g. we got partitioned while revoking),
-  // the "all live replicas" wait-set above can shrink to just ourselves,
-  // and a single-replica revocation could no-op entries the connected
-  // majority has accepted. Keep the round open until probes recover.
-  if (replied < measure::majority(replicas_.size())) return;
-  DmRevokeResult result;
-  result.lane = lane;
-  result.from_ts = round.from;
-  result.through_ts = round.to;
-  for (const auto& [ts, cmd] : round.entries) {
-    result.entries.push_back(RangeEntryWire{ts, cmd});
+  if (lane == dfp_lane()) {
+    finish_dfp_range();
+  } else if (replied >= measure::majority(replicas_.size())) {
+    // Never revoke on less than a majority of lane state: if the failure
+    // detector degraded mid-round (e.g. we got partitioned while revoking),
+    // the "all live replicas" wait-set above can shrink to just ourselves,
+    // and a single-replica revocation could no-op entries the connected
+    // majority has accepted. Keep the round open until probes recover.
+    finish_dm_revoke(lane);
   }
+}
+
+void Replica::finish_dm_revoke(std::uint32_t lane) {
+  LaneRecovery& round = recovery_[lane];
   round.active = false;
-  dm_revoked_through_[lane] = round.to;
+  round.revoked_through = round.to;
+  const DmRevokeResult result{lane, round.from, round.to, to_wire(round.entries)};
   for (NodeId r : replicas_) {
     if (r != id()) send(r, result);
   }
-  apply_dm_revoke_result(result);
+  apply_range_outcome(lane, result.from_ts, result.through_ts, result.entries);
 }
 
-void Replica::apply_dm_revoke_result(const DmRevokeResult& result) {
-  if (result.lane >= replicas_.size()) return;
-  // No-op our accepted entries that the revocation did not commit.
-  for (const auto& e :
-       log_.entries_in_range(result.lane, result.from_ts, result.through_ts)) {
-    if (e.committed) continue;
-    const bool listed =
-        std::any_of(result.entries.begin(), result.entries.end(),
-                    [&](const RangeEntryWire& w) { return w.ts == e.ts; });
-    if (!listed) {
-      log_.resolve_as_noop(log::LogPosition{e.ts, result.lane});
-      persistor_.persist(recovery::RecordTag::kCommitted, [&] {
-        return committed_record(e.ts, result.lane, true, nullptr);
-      });
-    }
-  }
-  for (const auto& e : result.entries) {
-    log_.commit(log::LogPosition{e.ts, result.lane}, e.command);
-    persistor_.persist(recovery::RecordTag::kCommitted, [&] {
-      return committed_record(e.ts, result.lane, false, &e.command);
-    });
-  }
-  log_.advance_watermark(result.lane, result.through_ts);
-  execute_ready();
-}
-
-void Replica::start_dfp_range_recover(std::int64_t from_ts) {
-  RecoveryRound& round = dfp_range_round_;
-  round = RecoveryRound{};
-  round.active = true;
-  round.from = from_ts;
-  // Recover up to the slowest live watermark (live replicas have no-op'd
-  // everything below their clocks; the dead one cannot object at ballot 1).
-  Duration to = local_now() - TimePoint::epoch();
-  for (std::size_t r = 0; r < replicas_.size(); ++r) {
-    if (r == rank_ || prober_.looks_failed(replicas_[r])) continue;
-    to = std::min(to, replica_watermarks_[r] - TimePoint::epoch());
-  }
-  round.to = to.nanos();
-  if (round.to <= round.from) {
-    round.active = false;
-    return;
-  }
-  for (const auto& e : log_.entries_in_range(dfp_lane(), round.from, round.to)) {
-    round.entries.emplace(e.ts, e.command);
-  }
-  DfpRangeRecover msg{round.from, round.to};
-  for (NodeId r : replicas_) {
-    if (r != id() && !prober_.looks_failed(r)) send(r, msg);
-  }
-  try_finalize_dfp_range();
-}
-
-void Replica::handle_dfp_range_recover(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<DfpRangeRecover>(payload);
-  DfpRangeReply reply;
-  reply.from_ts = msg.from_ts;
-  reply.to_ts = msg.to_ts;
-  for (const auto& e : log_.entries_in_range(dfp_lane(), msg.from_ts, msg.to_ts)) {
-    reply.entries.push_back(RangeEntryWire{e.ts, e.command});
-  }
-  send(from, reply);
-}
-
-void Replica::handle_dfp_range_reply(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<DfpRangeReply>(payload);
-  RecoveryRound& round = dfp_range_round_;
-  if (!round.active || msg.from_ts != round.from || msg.to_ts != round.to) return;
-  round.replied.insert(from);
-  for (const auto& e : msg.entries) round.entries.emplace(e.ts, e.command);
-  try_finalize_dfp_range();
-}
-
-void Replica::try_finalize_dfp_range() {
-  RecoveryRound& round = dfp_range_round_;
-  if (!round.active) return;
-  for (std::size_t r = 0; r < replicas_.size(); ++r) {
-    if (r == rank_ || prober_.looks_failed(replicas_[r])) continue;
-    if (!round.replied.contains(replicas_[r])) return;
-  }
+void Replica::finish_dfp_range() {
+  LaneRecovery& round = recovery_[dfp_lane()];
   round.active = false;
-
-  DfpRangeResolve resolve;
-  resolve.from_ts = round.from;
-  resolve.through_ts = round.to;
-  for (const auto& [ts, cmd] : round.entries) {
-    resolve.entries.push_back(RangeEntryWire{ts, cmd});
-    if (dfp_committed_.insert(cmd.id).second) {
+  const DfpRangeResolve resolve{round.from, round.to, to_wire(round.entries)};
+  for (const auto& e : resolve.entries) {
+    if (dfp_committed_.insert(e.command.id).second) {
       ++dfp_slow_commits_;
       obs_dfp_slow_.inc();
       // The client may not have reached a supermajority on its own; tell it
       // (duplicate notifications are deduplicated client-side).
-      send(cmd.id.client, DfpClientReply{cmd.id});
+      send(e.command.id.client, DfpClientReply{e.command.id});
     }
   }
   // Settle the coordinator's per-position bookkeeping inside the range:
@@ -936,30 +913,29 @@ void Replica::try_finalize_dfp_range() {
   for (NodeId r : replicas_) {
     if (r != id()) send(r, resolve);
   }
-  apply_dfp_range_resolve(resolve);
+  apply_range_outcome(dfp_lane(), resolve.from_ts, resolve.through_ts, resolve.entries);
 }
 
-void Replica::apply_dfp_range_resolve(const DfpRangeResolve& resolve) {
-  for (const auto& e :
-       log_.entries_in_range(dfp_lane(), resolve.from_ts, resolve.through_ts)) {
+void Replica::apply_range_outcome(std::uint32_t lane, std::int64_t from, std::int64_t through,
+                                  const std::vector<RangeEntryWire>& entries) {
+  // The listed entries commit; every other uncommitted entry in the range
+  // becomes a no-op.
+  for (const auto& e : log_.entries_in_range(lane, from, through)) {
     if (e.committed) continue;
-    const bool listed =
-        std::any_of(resolve.entries.begin(), resolve.entries.end(),
-                    [&](const RangeEntryWire& w) { return w.ts == e.ts; });
+    const bool listed = std::any_of(entries.begin(), entries.end(),
+                                    [&](const RangeEntryWire& w) { return w.ts == e.ts; });
     if (!listed) {
-      log_.resolve_as_noop(log::LogPosition{e.ts, dfp_lane()});
-      persistor_.persist(recovery::RecordTag::kCommitted, [&] {
-        return committed_record(e.ts, dfp_lane(), true, nullptr);
-      });
+      log_.resolve_as_noop(log::LogPosition{e.ts, lane});
+      persistor_.persist(recovery::RecordTag::kCommitted,
+                         [&] { return committed_record(e.ts, lane, true, nullptr); });
     }
   }
-  for (const auto& e : resolve.entries) {
-    log_.commit(log::LogPosition{e.ts, dfp_lane()}, e.command);
-    persistor_.persist(recovery::RecordTag::kCommitted, [&] {
-      return committed_record(e.ts, dfp_lane(), false, &e.command);
-    });
+  for (const auto& e : entries) {
+    log_.commit(log::LogPosition{e.ts, lane}, e.command);
+    persistor_.persist(recovery::RecordTag::kCommitted,
+                       [&] { return committed_record(e.ts, lane, false, &e.command); });
   }
-  log_.advance_watermark(dfp_lane(), resolve.through_ts);
+  log_.advance_watermark(lane, through);
   execute_ready();
 }
 
@@ -985,11 +961,7 @@ void Replica::wipe_volatile() {
   watermark_holds_.clear();
   dm_last_assigned_ = 0;
   rerouted_.clear();
-  dm_revokes_.clear();
-  dm_revoked_through_.clear();
-  next_dm_revoke_at_.clear();
-  dfp_range_round_ = RecoveryRound{};
-  next_dfp_range_at_ = TimePoint::epoch();
+  recovery_.assign(replicas_.size() + 1, LaneRecovery{});
   dfp_fast_commits_ = 0;
   dfp_slow_commits_ = 0;
   dfp_noop_resolutions_ = 0;
@@ -1026,22 +998,7 @@ void Replica::rebuild_from_durable() {
           if (lane == dfp_lane()) dfp_positions_[ts].resolved = true;
           break;
         }
-        const auto* e = log_.entry(pos);
-        if (e != nullptr && e->status == log::GlobalLog::Status::kAbortedNoop) break;
-        // No accept record either: catch-up covers it.
-        if (!r.command.has_value() && e == nullptr) break;
-        const RequestId rid = r.command.has_value() ? r.command->id : e->command.id;
-        log_.commit(pos, std::move(r.command));
-        if (lane == dfp_lane()) {
-          dfp_committed_.insert(rid);
-          // Keep the position marked resolved so a late notice for it
-          // reroutes instead of re-opening a decided position.
-          DfpPosition& p = dfp_positions_[ts];
-          p.resolved = true;
-          p.winner = rid;
-        } else if (lane == rank_) {
-          dm_pending_.erase(ts);
-        }
+        learn_commit(pos, std::move(r.command));
         break;
       }
       default:
@@ -1089,8 +1046,8 @@ void Replica::rebuild_from_durable() {
   // committed, so a client-observed fast commit cannot be no-op'd.
   if (is_coordinator()) {
     after(config_.recovery_timeout, [this, epoch = persistor_.epoch()] {
-      if (epoch != persistor_.epoch() || dfp_range_round_.active) return;
-      next_dfp_range_at_ = true_now() + kRecoveryRoundInterval;
+      if (epoch != persistor_.epoch() || recovery_[dfp_lane()].active) return;
+      recovery_[dfp_lane()].next_at = true_now() + kRecoveryRoundInterval;
       start_dfp_range_recover(0);
     });
   }
@@ -1133,24 +1090,36 @@ void Replica::merge_catchup_reply(const recovery::CatchupReply& msg, std::size_t
       if (!log_.is_committed(pos)) log_.resolve_as_noop(pos);
       continue;
     }
-    const auto* local = log_.entry(pos);
-    if (local != nullptr && local->status == log::GlobalLog::Status::kAbortedNoop) continue;
-    log_.commit(pos, e.command);
-    if (e.lane == dfp_lane()) {
-      dfp_committed_.insert(e.command.id);
-      DfpPosition& p = dfp_positions_[e.pos];
-      p.resolved = true;
-      p.winner = e.command.id;
-    } else if (e.lane == rank_) {
-      // Committed on our lane by someone else (a revocation while we were
-      // down): nothing left to replicate.
-      if (const auto it = dm_pending_.find(e.pos); it != dm_pending_.end()) {
-        close_wait_span(it->second.wait_span);
-        dm_pending_.erase(it);
-      }
-    }
+    learn_commit(pos, e.command);
   }
   execute_ready();
+}
+
+void Replica::learn_commit(log::LogPosition pos, std::optional<sm::Command> command) {
+  // Learned from a durable kCommitted record or a catch-up entry; `command`
+  // is empty when the record relies on the local accept. A position
+  // resolved here as a no-op stays one, and a commit with no command to
+  // materialize is left to catch-up.
+  const auto* local = log_.entry(pos);
+  if (local != nullptr && local->status == log::GlobalLog::Status::kAbortedNoop) return;
+  if (!command.has_value() && local == nullptr) return;
+  const RequestId rid = command.has_value() ? command->id : local->command.id;
+  log_.commit(pos, std::move(command));
+  if (pos.lane == dfp_lane()) {
+    dfp_committed_.insert(rid);
+    // Keep the position marked resolved so a late notice for it reroutes
+    // instead of re-opening a decided position.
+    DfpPosition& p = dfp_positions_[pos.ts];
+    p.resolved = true;
+    p.winner = rid;
+  } else if (pos.lane == rank_) {
+    // Committed on our own lane (replayed, or revoked while we were down):
+    // nothing left to replicate.
+    if (const auto it = dm_pending_.find(pos.ts); it != dm_pending_.end()) {
+      close_wait_span(it->second.wait_span);
+      dm_pending_.erase(it);
+    }
+  }
 }
 
 // ------------------------------------------------------------------ shared

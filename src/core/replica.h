@@ -129,18 +129,27 @@ class Replica : public rpc::ReplicaBase {
   void maybe_commit_dm(std::int64_t ts);
 
   // ---- failure handling (Section 5.8) ----
+  // One range-recovery round per lane: DM revocation on lanes 0..n-1 (run
+  // by the dead leader's successor) and DFP range recovery on lane n (run by
+  // the coordinator) share everything but their wire messages, the DM
+  // majority guard and the coordinator's DFP bookkeeping.
   void maybe_run_failure_recovery();
+  void handle_range_message(const net::Packet& packet);
   [[nodiscard]] bool is_successor_for(std::size_t dead_rank) const;
+  [[nodiscard]] bool recovery_due(std::uint32_t lane);
   void start_dm_revoke(std::uint32_t lane);
-  void handle_dm_revoke(NodeId from, const wire::Payload& payload);
-  void handle_dm_revoke_reply(NodeId from, const wire::Payload& payload);
-  void try_finalize_dm_revoke(std::uint32_t lane);
-  void apply_dm_revoke_result(const DmRevokeResult& result);
   void start_dfp_range_recover(std::int64_t from_ts);
-  void handle_dfp_range_recover(NodeId from, const wire::Payload& payload);
-  void handle_dfp_range_reply(NodeId from, const wire::Payload& payload);
-  void try_finalize_dfp_range();
-  void apply_dfp_range_resolve(const DfpRangeResolve& resolve);
+  void start_recovery(std::uint32_t lane, std::int64_t from, std::int64_t to);
+  [[nodiscard]] std::vector<RangeEntryWire> range_entries(std::uint32_t lane, std::int64_t from,
+                                                          std::int64_t to) const;
+  void merge_range_reply(std::uint32_t lane, NodeId from, std::int64_t from_ts,
+                         std::int64_t to_ts, const std::vector<RangeEntryWire>& entries);
+  void try_finish_recovery(std::uint32_t lane);
+  void finish_dm_revoke(std::uint32_t lane);
+  void finish_dfp_range();
+  void apply_range_outcome(std::uint32_t lane, std::int64_t from, std::int64_t through,
+                           const std::vector<RangeEntryWire>& entries);
+  void learn_commit(log::LogPosition pos, std::optional<sm::Command> command);
 
   // ---- shared ----
   void handle_heartbeat(NodeId from, const wire::Payload& payload);
@@ -197,19 +206,17 @@ class Replica : public rpc::ReplicaBase {
   std::int64_t dm_last_assigned_ = 0;
   std::unordered_set<RequestId> rerouted_;  // requests re-proposed through DM
 
-  // Failure-recovery rounds (Section 5.8).
-  struct RecoveryRound {
+  // Failure-recovery rounds (Section 5.8), one record per lane.
+  struct LaneRecovery {
     bool active = false;
     std::int64_t from = 0;
     std::int64_t to = 0;
     std::map<std::int64_t, sm::Command> entries;  // union of reported entries
     std::unordered_set<NodeId> replied;
+    std::optional<std::int64_t> revoked_through;  // DM: end of the last round
+    TimePoint next_at = TimePoint::epoch();       // earliest next round start
   };
-  std::unordered_map<std::uint32_t, RecoveryRound> dm_revokes_;  // keyed by lane
-  std::unordered_map<std::uint32_t, std::int64_t> dm_revoked_through_;
-  std::unordered_map<std::uint32_t, TimePoint> next_dm_revoke_at_;
-  RecoveryRound dfp_range_round_;
-  TimePoint next_dfp_range_at_ = TimePoint::epoch();
+  std::vector<LaneRecovery> recovery_;  // indexed by lane; dfp_lane() is last
   /// Minimum spacing between recovery rounds for the same lane.
   static constexpr Duration kRecoveryRoundInterval = milliseconds(100);
 

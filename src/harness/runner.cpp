@@ -20,6 +20,7 @@
 #include "paxos/replica.h"
 #include "rpc/client_base.h"
 #include "rpc/replica_base.h"
+#include "rpc/sim_context.h"
 #include "sim/simulator.h"
 
 namespace domino::harness {
@@ -85,10 +86,10 @@ struct Env {
       metrics = std::make_shared<obs::MetricsRegistry>();
       trace = std::make_shared<obs::TraceRecorder>(s.trace_capacity);
       if (s.command_spans) {
-        spans = std::make_shared<obs::SpanStore>(s.span_capacity, s.span_capacity);
+        spans = std::make_shared<obs::SpanStore>();
       }
       if (s.prediction_audit) {
-        predict = std::make_shared<obs::PredictionAudit>(s.predict_capacity);
+        predict = std::make_shared<obs::PredictionAudit>();
         predict->bind_metrics(metrics.get());
       }
       const obs::Sink sink{metrics.get(), trace.get(), spans.get(), predict.get()};
@@ -96,14 +97,8 @@ struct Env {
       network.bind_obs(sink);  // nodes pick the sink up at construction
       durable.bind_obs(sink);
       if (s.timeseries_interval > Duration::zero()) {
-        timeseries = std::make_shared<obs::Timeseries>(s.timeseries_max_windows);
+        timeseries = std::make_shared<obs::Timeseries>();
       }
-    }
-    for (const std::size_t idx : s.weakened_replicas) {
-      if (idx >= s.replica_dcs.size()) {
-        throw std::invalid_argument("Scenario: bad weakened replica index");
-      }
-      durable.weaken(replica_id(idx));
     }
     if (s.amnesia_crashes) {
       // Dispatch every scheduled recover through the restart table: the
@@ -115,11 +110,10 @@ struct Env {
     }
   }
 
-  /// Durability is on whenever anything needs the store: amnesiac crashes,
-  /// a non-zero sync latency, or a deliberately weakened log.
+  /// Durability is on whenever anything needs the store: amnesiac crashes
+  /// or a non-zero sync latency.
   [[nodiscard]] bool durability() const {
-    return scenario.amnesia_crashes || scenario.sync_latency > Duration::zero() ||
-           !scenario.weakened_replicas.empty();
+    return scenario.amnesia_crashes || scenario.sync_latency > Duration::zero();
   }
 
   /// Bind `replica` to the durable store and register its amnesiac-restart
@@ -181,7 +175,7 @@ struct Env {
     if (timeseries != nullptr) {
       // Read-only sampler on the virtual-time queue: snapshots metric
       // deltas every interval, so enabling it cannot perturb the protocols.
-      sampler.start(simulator, scenario.timeseries_interval, scenario.timeseries_interval,
+      sampler.start(sampler_context, scenario.timeseries_interval, scenario.timeseries_interval,
                     [this] { timeseries->sample(*metrics, simulator.now()); });
     }
     simulator.run_until(window_end + scenario.cooldown);
@@ -290,8 +284,9 @@ struct Env {
   std::shared_ptr<obs::PredictionAudit> predict;
   std::shared_ptr<obs::Timeseries> timeseries;
   sim::Simulator simulator;
-  sim::PeriodicTimer sampler;
   net::Network network;
+  rpc::SimContext sampler_context{network};
+  rpc::RepeatingTimer sampler;
   Rng clock_rng;
   TimePoint window_start;
   TimePoint window_end;

@@ -96,8 +96,6 @@ struct Scenario {
   /// would perturb bytes_sent stats and bandwidth-modelled runs. Requires
   /// `observability`.
   bool command_spans = false;
-  /// Span/edge store capacity; overflow drops records and counts them.
-  std::size_t span_capacity = obs::SpanStore::kDefaultCapacity;
   /// Prediction audit (obs/predict.h): the Domino client records what it
   /// predicted at every choice point and reconciles it at commit into
   /// per-command error, oracle regret and misprediction attribution;
@@ -105,16 +103,12 @@ struct Scenario {
   /// realized probe arrival (RunResult::calibration). Opt-in; requires
   /// `observability`. Wire format is untouched either way.
   bool prediction_audit = false;
-  /// Decision-record store capacity; overflow is counted, never silent.
-  std::size_t predict_capacity = obs::PredictionAudit::kDefaultCapacity;
   /// Time-series telemetry (obs/timeseries.h): a periodic simulator task
   /// snapshots metric deltas into fixed-capacity windows. Zero (default) =
   /// off: no sampler task is scheduled and every existing export stays
   /// byte-identical. Requires `observability`. The sampler only *reads*
   /// metrics, so enabling it never changes wire behaviour.
   Duration timeseries_interval = Duration::zero();
-  /// Window capacity; further samples are counted as dropped, never silent.
-  std::size_t timeseries_max_windows = obs::Timeseries::kDefaultMaxWindows;
   /// SLO rules + steady-state detector evaluated over the timeline after
   /// the run (obs/slo.h). Ignored unless timeseries_interval is set. The
   /// harness fills slo.evaluate_until with the end of the load window when
@@ -149,12 +143,8 @@ struct Scenario {
   /// Simulated latency of one durable sync. Non-zero puts persistence on
   /// the protocol critical path (promises/acks/commit notices wait for it)
   /// even on fault-free runs. Durability is enabled whenever this is
-  /// non-zero, amnesia_crashes is set, or weakened_replicas is non-empty.
+  /// non-zero or amnesia_crashes is set.
   Duration sync_latency = Duration::zero();
-  /// Negative-test knob: indices (into replica_dcs) of replicas whose
-  /// durable log silently drops appends — the model of a forgotten fsync.
-  /// The chaos consistency checker must flag the resulting lost commits.
-  std::vector<std::size_t> weakened_replicas;
 };
 
 struct RunResult {
@@ -197,7 +187,7 @@ struct RunResult {
   std::vector<std::uint64_t> replica_applied_counts;
   /// Crash-recovery accounting summed over all replicas (the recovery.*
   /// metrics); all zero unless durability was enabled (see
-  /// Scenario::amnesia_crashes / sync_latency / weakened_replicas).
+  /// Scenario::amnesia_crashes / sync_latency).
   recovery::RecoveryStats recovery;
   /// Total crashed time over completed crash->recover pairs.
   std::int64_t recovery_downtime_ns = 0;

@@ -83,11 +83,11 @@ std::string metrics_to_csv(const MetricsRegistry& registry) {
 std::string trace_to_text(const TraceRecorder& trace) {
   std::string out;
   for (const TraceEvent& e : trace.snapshot()) {
-    appendf(out, "%lld %s node=%s peer=%s req=%s type=%u detail=%u value=%lld\n",
+    appendf(out, "%lld %s node=%s peer=%s req=%s detail=%u value=%lld\n",
              static_cast<long long>(e.at.nanos()), event_kind_name(e.kind),
              node_str(e.node).c_str(), node_str(e.peer).c_str(),
-             request_str(e.request).c_str(), static_cast<unsigned>(e.msg_type),
-             static_cast<unsigned>(e.detail), static_cast<long long>(e.value));
+             request_str(e.request).c_str(), static_cast<unsigned>(e.detail),
+             static_cast<long long>(e.value));
   }
   return out;
 }
@@ -100,11 +100,11 @@ std::string trace_to_json(const TraceRecorder& trace) {
     first = false;
     appendf(out,
              "{\"at\":%lld,\"kind\":\"%s\",\"node\":\"%s\",\"peer\":\"%s\","
-             "\"req\":\"%s\",\"type\":%u,\"detail\":%u,\"value\":%lld}",
+             "\"req\":\"%s\",\"detail\":%u,\"value\":%lld}",
              static_cast<long long>(e.at.nanos()), event_kind_name(e.kind),
              node_str(e.node).c_str(), node_str(e.peer).c_str(),
-             request_str(e.request).c_str(), static_cast<unsigned>(e.msg_type),
-             static_cast<unsigned>(e.detail), static_cast<long long>(e.value));
+             request_str(e.request).c_str(), static_cast<unsigned>(e.detail),
+             static_cast<long long>(e.value));
   }
   out += ']';
   return out;

@@ -50,7 +50,6 @@ struct TraceEvent {
   RequestId request{NodeId::invalid(), 0};  // subject request, if any
   NodeId node;                        // acting node
   NodeId peer = NodeId::invalid();    // counterpart, if any
-  std::uint16_t msg_type = 0;         // wire::MessageType tag, 0 if n/a
   EventKind kind = EventKind::kRequestSubmit;
   std::uint8_t detail = 0;            // kind-specific code (e.g. drop reason)
 };

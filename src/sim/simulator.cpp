@@ -1,6 +1,5 @@
 #include "sim/simulator.h"
 
-#include <memory>
 #include <utility>
 
 namespace domino::sim {
@@ -62,31 +61,6 @@ std::uint64_t Simulator::run() {
   std::uint64_t n = 0;
   while (step()) ++n;
   return n;
-}
-
-void PeriodicTimer::start(Simulator& simulator, Duration initial, Duration interval,
-                          std::function<void()> tick) {
-  stop();
-  alive_ = std::make_shared<bool>(true);
-  // The timer owns the recursive closure; scheduled copies reach it through
-  // a weak_ptr, so stop() breaks the chain at the next firing and no
-  // self-referential shared_ptr cycle is left behind.
-  auto alive = alive_;
-  fire_ = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak = fire_;
-  *fire_ = [&simulator, interval, tick = std::move(tick), alive, weak]() {
-    if (!*alive) return;
-    tick();
-    if (!*alive) return;
-    if (auto fire = weak.lock()) simulator.schedule_after(interval, *fire);
-  };
-  simulator.schedule_after(initial, *fire_);
-}
-
-void PeriodicTimer::stop() {
-  if (alive_) *alive_ = false;
-  alive_.reset();
-  fire_.reset();
 }
 
 }  // namespace domino::sim

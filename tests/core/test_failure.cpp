@@ -2,8 +2,13 @@
 // failures out of 2f + 1 replicas. Clients stop using DFP once a replica is
 // unreachable (no supermajority); a successor revokes the dead replica's DM
 // lane so execution keeps advancing; the DFP coordinator recovers the
-// committed-no-op frontier past the dead replica's frozen clock.
+// committed-no-op frontier past the dead replica's frozen clock. Both
+// recoveries run one range-recovery round, whose hostile and degraded inputs
+// are driven by hand from a forged peer at the end of this file.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <limits>
 
 #include "core/client.h"
 #include "core/replica.h"
@@ -237,6 +242,148 @@ TEST_F(FailureCluster, SustainedLoadAcrossCrash) {
   EXPECT_GT(client->committed_count(), client->submitted_count() * 9 / 10);
   // Survivors converge.
   EXPECT_EQ(replicas[0]->store().items(), replicas[2]->store().items());
+}
+
+/// Stands in for replica 1. It answers probes (with a clock heartbeat) so
+/// the real replicas count it as live until `silent` is set, keeps every
+/// range-recovery message it receives, and sends whatever a test forges.
+class ForgedPeer : public rpc::Node {
+ public:
+  using Node::Node;
+
+  bool silent = false;
+  std::vector<DmRevoke> revokes;
+  std::vector<DmRevokeReply> revoke_replies;
+  std::vector<DmRevokeResult> revoke_results;
+  std::vector<DfpRangeRecover> range_recovers;
+  std::vector<DfpRangeResolve> range_resolves;
+
+ protected:
+  void on_packet(const net::Packet& packet) override {
+    const wire::Payload& p = packet.payload;
+    switch (wire::peek_type(p)) {
+      case wire::MessageType::kProbe:
+        if (silent) break;
+        send(packet.src, measure::Prober::make_reply(wire::decode_message<measure::Probe>(p),
+                                                     local_now(), Duration::zero()));
+        send(packet.src, Heartbeat{local_now(), 0});
+        break;
+      case wire::MessageType::kDmRevoke:
+        revokes.push_back(wire::decode_message<DmRevoke>(p));
+        break;
+      case wire::MessageType::kDmRevokeReply:
+        revoke_replies.push_back(wire::decode_message<DmRevokeReply>(p));
+        break;
+      case wire::MessageType::kDmRevokeResult:
+        revoke_results.push_back(wire::decode_message<DmRevokeResult>(p));
+        break;
+      case wire::MessageType::kDfpRangeRecover:
+        range_recovers.push_back(wire::decode_message<DfpRangeRecover>(p));
+        break;
+      case wire::MessageType::kDfpRangeResolve:
+        range_resolves.push_back(wire::decode_message<DfpRangeResolve>(p));
+        break;
+      default:
+        break;
+    }
+  }
+};
+
+/// Replica 0 (coordinator) and replica 2 are real; replica 1 is forged.
+/// Replica 2 crashes at 1 s, so by 2 s replica 0 has opened two rounds that
+/// wait on the forged peer: the revocation of DM lane 2 (replica 0 is its
+/// successor) and the DFP range recovery on lane 3.
+struct ForgedPeerCluster : ::testing::Test {
+  sim::Simulator simulator;
+  net::Network network{simulator, four_dc(), 1};
+  std::vector<NodeId> rids = replica_ids(3);
+  std::vector<std::unique_ptr<Replica>> replicas;
+  ForgedPeer peer{rids[1], 1, network};
+
+  void SetUp() override {
+    for (std::size_t i : {0u, 2u}) {
+      replicas.push_back(std::make_unique<Replica>(rids[i], i, network, rids, rids[0]));
+      replicas.back()->attach();
+      replicas.back()->start();
+    }
+    peer.attach();
+    run_until(seconds(1));
+    network.crash(rids[2]);
+    run_until(seconds(2));
+    ASSERT_EQ(peer.revokes.size(), 1u);
+    ASSERT_EQ(peer.revokes[0].lane, 2u);
+    ASSERT_EQ(peer.range_recovers.size(), 1u);
+  }
+
+  void run_until(Duration t) { simulator.run_until(TimePoint::epoch() + t); }
+  void run_for(Duration d) { simulator.run_until(simulator.now() + d); }
+};
+
+TEST_F(ForgedPeerCluster, NonDmLaneIsRejected) {
+  constexpr std::int64_t kEnd = std::numeric_limits<std::int64_t>::max();
+  // Lane 3 is the DFP lane of a 3-replica cluster and lane 7 is no lane;
+  // neither is a DM lane, so neither revocation is served. Lane 1 is.
+  peer.send(rids[0], DmRevoke{3, 0, kEnd});
+  peer.send(rids[0], DmRevoke{7, 0, kEnd});
+  peer.send(rids[0], DmRevoke{1, 0, kEnd});
+  // A revocation reply naming lane 3 does not answer the open DFP round.
+  const DfpRangeRecover q = peer.range_recovers[0];
+  peer.send(rids[0], DmRevokeReply{3, q.from_ts, q.to_ts, {}});
+  run_for(milliseconds(100));
+  ASSERT_EQ(peer.revoke_replies.size(), 1u);
+  EXPECT_EQ(peer.revoke_replies[0].lane, 1u);
+  EXPECT_TRUE(peer.range_resolves.empty());
+
+  // The DFP round's own reply does.
+  peer.send(rids[0], DfpRangeReply{q.from_ts, q.to_ts, {}});
+  run_for(milliseconds(100));
+  ASSERT_EQ(peer.range_resolves.size(), 1u);
+  EXPECT_EQ(peer.range_resolves[0].from_ts, q.from_ts);
+  EXPECT_EQ(peer.range_resolves[0].through_ts, q.to_ts);
+}
+
+TEST_F(ForgedPeerCluster, ReplyForAnotherRangeIsIgnored) {
+  const DmRevoke q = peer.revokes[0];
+  const sm::Command forged = make_command(NodeId{666}, 0, "forged", "x");
+  const std::vector<RangeEntryWire> entries{{q.from_ts + 1, forged}};
+  peer.send(rids[0], DmRevokeReply{2, q.from_ts, q.to_ts + 1, entries});
+  peer.send(rids[0], DmRevokeReply{2, q.from_ts - 1, q.to_ts, entries});
+  run_for(milliseconds(100));
+  // Neither reply answered the open round, so it is still waiting.
+  EXPECT_TRUE(peer.revoke_results.empty());
+  EXPECT_EQ(peer.revokes.size(), 1u);
+
+  peer.send(rids[0], DmRevokeReply{2, q.from_ts, q.to_ts, {}});
+  run_for(milliseconds(100));
+  ASSERT_EQ(peer.revoke_results.size(), 1u);
+  const DmRevokeResult& r = peer.revoke_results[0];
+  EXPECT_EQ(r.lane, 2u);
+  EXPECT_EQ(r.from_ts, q.from_ts);
+  EXPECT_EQ(r.through_ts, q.to_ts);
+  // The stale replies' entry was never merged.
+  EXPECT_TRUE(std::none_of(r.entries.begin(), r.entries.end(),
+                           [&](const RangeEntryWire& e) { return e.command.id == forged.id; }));
+  EXPECT_EQ(replicas[0]->store().get("forged"), std::nullopt);
+}
+
+TEST_F(ForgedPeerCluster, DmRevocationNeedsAMajorityOfReplies) {
+  const DmRevoke q = peer.revokes[0];
+  // The peer goes quiet until replica 0's failure detector gives up on it
+  // too. Its reply then completes the wait for every live replica, but
+  // replica 0's own state and one reply are not a majority of three...
+  peer.silent = true;
+  run_for(milliseconds(700));
+  peer.send(rids[0], DmRevokeReply{2, q.from_ts, q.to_ts, {}});
+  run_for(milliseconds(100));
+  EXPECT_TRUE(peer.revoke_results.empty());
+
+  // ...so the round stays open until the peer is back and answers again.
+  peer.silent = false;
+  run_for(milliseconds(300));
+  peer.send(rids[0], DmRevokeReply{2, q.from_ts, q.to_ts, {}});
+  run_for(milliseconds(100));
+  ASSERT_EQ(peer.revoke_results.size(), 1u);
+  EXPECT_EQ(peer.revoke_results[0].through_ts, q.to_ts);
 }
 
 }  // namespace

@@ -4,6 +4,10 @@
 
 #include <vector>
 
+#include "net/network.h"
+#include "rpc/context.h"
+#include "rpc/sim_context.h"
+
 namespace domino::sim {
 namespace {
 
@@ -102,48 +106,56 @@ TEST(Simulator, ExecutedEventsCounted) {
   EXPECT_EQ(s.executed_events(), 7u);
 }
 
-TEST(PeriodicTimer, FiresAtInterval) {
+/// rpc::RepeatingTimer over the simulator's virtual-time queue, the way
+/// the harness drives its telemetry sampler.
+struct TimerRig {
   Simulator s;
-  PeriodicTimer t;
+  net::Network network{s, net::Topology{{"A"}, {{0}}}, 1};
+  rpc::SimContext context{network};
+  rpc::RepeatingTimer t;
+
+  void run_until(Duration d) { s.run_until(TimePoint::epoch() + d); }
+};
+
+TEST(RepeatingTimer, FiresAtInterval) {
+  TimerRig rig;
   int ticks = 0;
-  t.start(s, milliseconds(10), milliseconds(10), [&] { ++ticks; });
-  s.run_until(TimePoint::epoch() + milliseconds(100));
+  rig.t.start(rig.context, milliseconds(10), milliseconds(10), [&] { ++ticks; });
+  rig.run_until(milliseconds(100));
   EXPECT_EQ(ticks, 10);
 }
 
-TEST(PeriodicTimer, StopEndsFiring) {
-  Simulator s;
-  PeriodicTimer t;
+TEST(RepeatingTimer, StopEndsFiring) {
+  TimerRig rig;
   int ticks = 0;
-  t.start(s, milliseconds(10), milliseconds(10), [&] {
-    if (++ticks == 3) t.stop();
+  rig.t.start(rig.context, milliseconds(10), milliseconds(10), [&] {
+    if (++ticks == 3) rig.t.stop();
   });
-  s.run();
+  rig.s.run();
   EXPECT_EQ(ticks, 3);
 }
 
-TEST(PeriodicTimer, RestartCancelsPrevious) {
-  Simulator s;
-  PeriodicTimer t;
+TEST(RepeatingTimer, RestartCancelsPrevious) {
+  TimerRig rig;
   int a = 0, b = 0;
-  t.start(s, milliseconds(10), milliseconds(10), [&] { ++a; });
-  t.start(s, milliseconds(10), milliseconds(10), [&] { ++b; });
-  s.run_until(TimePoint::epoch() + milliseconds(55));
+  rig.t.start(rig.context, milliseconds(10), milliseconds(10), [&] { ++a; });
+  rig.t.start(rig.context, milliseconds(10), milliseconds(10), [&] { ++b; });
+  rig.run_until(milliseconds(55));
   EXPECT_EQ(a, 0);
   EXPECT_EQ(b, 5);
-  t.stop();
+  rig.t.stop();
 }
 
-TEST(PeriodicTimer, InitialDelayDiffersFromInterval) {
-  Simulator s;
-  PeriodicTimer t;
+TEST(RepeatingTimer, InitialDelayDiffersFromInterval) {
+  TimerRig rig;
   std::vector<TimePoint> fires;
-  t.start(s, Duration::zero(), milliseconds(20), [&] { fires.push_back(s.now()); });
-  s.run_until(TimePoint::epoch() + milliseconds(50));
+  rig.t.start(rig.context, Duration::zero(), milliseconds(20),
+              [&] { fires.push_back(rig.s.now()); });
+  rig.run_until(milliseconds(50));
   ASSERT_EQ(fires.size(), 3u);  // 0, 20, 40
   EXPECT_EQ(fires[0], TimePoint::epoch());
   EXPECT_EQ(fires[2], TimePoint::epoch() + milliseconds(40));
-  t.stop();
+  rig.t.stop();
 }
 
 }  // namespace
